@@ -50,6 +50,8 @@ without pickling per-row objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -1181,35 +1183,50 @@ class PricingKernel:
         carbon uses the start-time intensity and attributed carbon adds
         CBA's embodied term, exactly as the scalar reference path.
         """
-        n = len(finished)
-        name_code = {name: i for i, name in enumerate(self.machine_names)}
-        rows = np.empty(n, dtype=np.intp)
-        codes = np.empty(n, dtype=np.int32)
-        starts = np.empty(n)
-        ends = np.empty(n)
+        return self._settle(finished, self._rows(finished))
+
+    def _rows(
+        self, finished: Sequence[tuple["Job", str, float, float]]
+    ) -> npt.NDArray[np.intp]:
+        """The quote-table row of each finish-log entry's job."""
         row_of = self.row_of
-        by_machine: dict[str, list[int]] = {}
-        for i, (job, name, start_s, end_s) in enumerate(finished):
-            rows[i] = row_of[job.job_id]
-            codes[i] = name_code[name]
-            starts[i] = start_s
-            ends[i] = end_s
-            by_machine.setdefault(name, []).append(i)
+        return np.fromiter(
+            (row_of[entry[0].job_id] for entry in finished),
+            dtype=np.intp,
+            count=len(finished),
+        )
+
+    def _settle(
+        self,
+        finished: Sequence[tuple["Job", str, float, float]],
+        rows: npt.NDArray[np.intp],
+    ) -> OutcomeTable:
+        """The one settlement body: ``finished[i]`` priced against quote
+        row ``rows[i]`` (behind :meth:`price_outcomes` and
+        :meth:`ShardedPricingKernel.price_block`)."""
+        n = len(finished)
+        names = self.machine_names
+        code_of = {name: i for i, name in enumerate(names)}
+        codes = np.fromiter(
+            (code_of[entry[1]] for entry in finished), dtype=np.int32, count=n
+        )
+        starts = np.fromiter((entry[2] for entry in finished), dtype=float, count=n)
+        ends = np.fromiter((entry[3] for entry in finished), dtype=float, count=n)
         cost = np.empty(n)
         energy_out = np.empty(n)
         operational = np.empty(n)
         attributed = np.empty(n)
-        for name, idxs in by_machine.items():
-            idx = np.asarray(idxs, dtype=np.intp)
+        for code in np.unique(codes).tolist():
+            name = names[code]
+            idx = np.flatnonzero(codes == code)
             sub_rows = rows[idx]
-            sub_starts = starts[idx]
             energy = self.energy[name][sub_rows]
             batch = UsageBatch(
                 machine=name,
                 duration_s=self.runtime[name][sub_rows],
                 energy_j=energy,
                 cores=self.cores[sub_rows],
-                start_time_s=sub_starts,
+                start_time_s=starts[idx],
             )
             c, op, attr = _price_batch(
                 self.method, self._carbon, self.pricings[name], batch
@@ -1219,7 +1236,7 @@ class PricingKernel:
             operational[idx] = op
             attributed[idx] = attr
         return OutcomeTable(
-            self.machine_names,
+            names,
             job_id=self.job_id[rows],
             user=self.user[rows],
             machine_code=codes,
@@ -1240,37 +1257,46 @@ class PricingKernel:
 # ---------------------------------------------------------------------------
 @dataclass(slots=True)
 class QuoteTableShard:
-    """One ingestion chunk's :class:`QuoteTable` plus retirement state.
+    """One ingestion chunk's quote table plus retirement state.
 
     Identity-wise a shard is an ordinary quote table: ``key`` is a
-    :class:`QuoteTableKey` whose workload token extends the stream's
-    token with the shard ordinal, so shard caching/diagnostics compose
-    with the existing cache machinery unchanged.  ``unsettled`` counts
-    the shard's jobs that have not yet settled (or been discarded); the
-    owning kernel drops the shard the moment it reaches zero, which is
-    what bounds quote-table memory by the number of chunks with jobs
-    still in flight rather than by the trace length.
+    :class:`QuoteTableKey` whose workload token extends the run's token
+    with the shard ordinal, so shard caching/diagnostics compose with
+    the existing cache machinery unchanged.  ``kernel`` binds the
+    chunk's :class:`QuoteTable` to the run's method and pricings and
+    settles the chunk's jobs.  ``unsettled`` counts the jobs that have
+    not yet settled (or been discarded) and ``settled`` flags them by
+    row; the owning kernel drops the shard the moment ``unsettled``
+    reaches zero, which is what bounds quote-table memory by the number
+    of chunks with jobs still in flight rather than by the trace length.
     """
 
     key: QuoteTableKey
-    table: QuoteTable
+    kernel: PricingKernel
     #: Ordinal of the chunk this shard was built from.
     index: int
     #: Jobs of this shard not yet settled or discarded.
     unsettled: int
+    #: Per quote row: the job has settled or been discarded.
+    settled: npt.NDArray[np.bool_]
 
 
 class ShardedPricingKernel:
-    """Chunk-at-a-time :class:`PricingKernel` for streaming ingestion.
+    """Chunk-at-a-time pricing for the engine's event loop.
 
-    The monolithic kernel prices the whole workload up front; this one
-    builds a :class:`QuoteTableShard` per ingestion chunk
-    (:meth:`load_chunk`) and retires each shard once its last job
-    settles.  Quotes come from the same :meth:`QuoteTable.build` and
-    settlement from the same :func:`_price_batch` as the monolithic
-    path, and both are element-wise per row — so a streaming run's
-    quotes and settled outcomes are bit-identical to the in-memory
-    run's, merely delivered in blocks.
+    Builds one :class:`QuoteTableShard` — a :class:`PricingKernel` over
+    the chunk's own quote table — per ingestion chunk (:meth:`load_chunk`)
+    and retires each shard once its last job settles.  An in-memory run
+    is a single chunk whose shard may adopt a prebuilt table.  Quotes
+    and settlement are the shard kernels' own, and both are element-wise
+    per row, so a run's quotes and settled outcomes are bit-identical
+    however it is chunked — merely delivered in blocks.
+
+    Every arrival belongs to the newest shard, which finds its jobs
+    through its own ``row_of``.  When a newer chunk loads, the older
+    shard's jobs still in flight move to a locate map — the only other
+    per-job state, shrinking as they settle — so a one-chunk run copies
+    no per-job state at all.
 
     Settlement (:meth:`price_block`) takes consecutive slices of the
     completion-ordered finish log, so concatenating the returned tables
@@ -1286,10 +1312,9 @@ class ShardedPricingKernel:
         "shards_built",
         "shards_retired",
         "peak_live_shards",
-        "_carbon",
-        "_locate",
         "_live",
-        "_next_index",
+        "_newest",
+        "_locate",
     )
 
     def __init__(
@@ -1305,49 +1330,56 @@ class ShardedPricingKernel:
         self.shards_built = 0
         self.shards_retired = 0
         self.peak_live_shards = 0
-        self._carbon = (
-            method
-            if isinstance(method, CarbonBasedAccounting)
-            else CarbonBasedAccounting()
-        )
-        #: job_id -> (shard, row) for every job still in flight.  This
-        #: is the only per-job state and it shrinks as jobs settle.
-        self._locate: dict[int, tuple[QuoteTableShard, int]] = {}
         self._live: dict[int, QuoteTableShard] = {}
-        self._next_index = 0
+        #: The most recent chunk's shard, until it retires.
+        self._newest: QuoteTableShard | None = None
+        #: job_id -> shard for in-flight jobs of older shards.
+        self._locate: dict[int, QuoteTableShard] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def live_shards(self) -> int:
-        return len(self._live)
+    def load_chunk(
+        self, jobs: Sequence["Job"], table: QuoteTable | None = None
+    ) -> QuoteTableShard:
+        """Build the next chunk's shard (or adopt a prebuilt ``table``).
 
-    def load_chunk(self, jobs: Sequence["Job"]) -> QuoteTableShard:
-        """Build and register the next chunk's shard."""
-        table = QuoteTable.build(jobs, self.pricings, self.method)
+        Job ids key every lookup, so a :class:`ValueError` naming the id
+        rejects a chunk in which an id repeats, or that reuses the id of
+        an earlier chunk's job that has not settled.  The engine settles
+        every finished job before it loads a chunk, so to a run that
+        means a job still queued or running.
+        """
+        kernel = PricingKernel(jobs, self.pricings, self.method, table=table)
+        row_of = kernel.row_of
+        if len(row_of) != len(kernel.job_id):
+            ids, counts = np.unique(kernel.job_id, return_counts=True)
+            raise ValueError(f"job id {int(ids[counts > 1][0])} repeats in a chunk")
+        newest = self._newest
+        locate = self._locate
+        if newest is not None:
+            in_flight = newest.kernel.job_id[~newest.settled].tolist()
+            locate.update(dict.fromkeys(in_flight, newest))
+        if locate and not locate.keys().isdisjoint(row_of):
+            clash = min(job_id for job_id in row_of if job_id in locate)
+            raise ValueError(
+                f"job id {clash} is reused while a job with that id is in flight"
+            )
+        index = self.shards_built
         shard = QuoteTableShard(
             key=QuoteTableKey(
-                workload=(self.workload_token, self._next_index),
+                workload=(self.workload_token, index),
                 method=self.method.name,
                 machines=tuple(self.machine_names),
             ),
-            table=table,
-            index=self._next_index,
-            unsettled=len(table),
+            kernel=kernel,
+            index=index,
+            unsettled=len(row_of),
+            settled=np.zeros(len(row_of), dtype=bool),
         )
-        self._next_index += 1
-        locate = self._locate
-        for job_id, row in table.row_of.items():
-            locate[job_id] = (shard, row)
-        self._live[shard.index] = shard
+        self._newest = shard
+        self._live[index] = shard
         self.shards_built += 1
-        if len(self._live) > self.peak_live_shards:
-            self.peak_live_shards = len(self._live)
+        self.peak_live_shards = max(self.peak_live_shards, len(self._live))
         return shard
-
-    def static_views_of(self, job_id: int) -> list[tuple[str, float, float, float]]:
-        """The job's quoted ``(machine, runtime, energy, cost)`` views."""
-        shard, row = self._locate[job_id]
-        return shard.table.static_views[row]
 
     def discard(self, job_id: int) -> None:
         """Release a job that will never settle (no eligible machine).
@@ -1355,14 +1387,21 @@ class ShardedPricingKernel:
         Without this a single unplaceable job would pin its whole shard
         for the rest of the run.
         """
-        self._release(job_id)
+        shard = self._locate.pop(job_id, self._newest)
+        if shard is None:
+            raise KeyError(job_id)
+        self._release(shard, [shard.kernel.row_of[job_id]])
 
-    def _release(self, job_id: int) -> None:
-        shard, _ = self._locate.pop(job_id)
-        shard.unsettled -= 1
+    def _release(
+        self, shard: QuoteTableShard, rows: list[int] | npt.NDArray[np.intp]
+    ) -> None:
+        shard.settled[rows] = True
+        shard.unsettled -= len(rows)
         if shard.unsettled == 0:
             del self._live[shard.index]
             self.shards_retired += 1
+            if shard is self._newest:
+                self._newest = None
 
     # ------------------------------------------------------------------
     def price_block(
@@ -1372,79 +1411,27 @@ class ShardedPricingKernel:
         """Settle one block of the finish log and release its jobs.
 
         Same contract as :meth:`PricingKernel.price_outcomes`, restricted
-        to a block: rows come back in log order, one ``charge_many`` +
-        ``at_many`` sweep per (shard, machine) group.  Grouping by shard
-        as well as machine changes only how rows are batched, never a
-        row's operands — the settlement math is element-wise — so the
-        block is bit-identical to its slice of a whole-log settlement.
+        to a block: rows come back in log order.  The block is split by
+        shard and each part settles through its shard's kernel; that
+        changes only how rows are batched, never a row's operands — the
+        settlement math is element-wise — so the block is bit-identical
+        to its slice of a whole-log settlement.
         """
         n = len(finished)
-        name_code = {name: i for i, name in enumerate(self.machine_names)}
-        rows = np.empty(n, dtype=np.intp)
-        codes = np.empty(n, dtype=np.int32)
-        starts = np.empty(n)
-        ends = np.empty(n)
-        locate = self._locate
-        shard_of_index: dict[int, QuoteTableShard] = {}
-        groups: dict[tuple[int, str], list[int]] = {}
-        for i, (job, name, start_s, end_s) in enumerate(finished):
-            shard, row = locate[job.job_id]
-            rows[i] = row
-            codes[i] = name_code[name]
-            starts[i] = start_s
-            ends[i] = end_s
-            shard_of_index[shard.index] = shard
-            groups.setdefault((shard.index, name), []).append(i)
-        job_id_out = np.empty(n, dtype=np.int64)
-        user_out = np.empty(n, dtype=np.int64)
-        cores_out = np.empty(n, dtype=np.int64)
-        submit_out = np.empty(n)
-        work_out = np.empty(n)
-        energy_out = np.empty(n)
-        cost = np.empty(n)
-        operational = np.empty(n)
-        attributed = np.empty(n)
-        for (shard_index, name), idxs in groups.items():
-            table = shard_of_index[shard_index].table
-            idx = np.asarray(idxs, dtype=np.intp)
-            sub_rows = rows[idx]
-            energy = table.energy[name][sub_rows]
-            batch = UsageBatch(
-                machine=name,
-                duration_s=table.runtime[name][sub_rows],
-                energy_j=energy,
-                cores=table.cores[sub_rows],
-                start_time_s=starts[idx],
-            )
-            c, op, attr = _price_batch(
-                self.method, self._carbon, self.pricings[name], batch
-            )
-            job_id_out[idx] = table.job_id[sub_rows]
-            user_out[idx] = table.user[sub_rows]
-            cores_out[idx] = table.cores[sub_rows]
-            submit_out[idx] = table.submit[sub_rows]
-            work_out[idx] = table.work[sub_rows]
-            energy_out[idx] = energy
-            cost[idx] = c
-            operational[idx] = op
-            attributed[idx] = attr
-        for job, _name, _start, _end in finished:
-            self._release(job.job_id)
-        return OutcomeTable(
-            self.machine_names,
-            job_id=job_id_out,
-            user=user_out,
-            machine_code=codes,
-            cores=cores_out,
-            submit_s=submit_out,
-            start_s=starts,
-            end_s=ends,
-            energy_j=energy_out,
-            cost=cost,
-            work_core_hours=work_out,
-            operational_carbon_g=operational,
-            attributed_carbon_g=attributed,
-        )
+        ids = [entry[0].job_id for entry in finished]
+        owners = map(self._locate.pop, ids, repeat(self._newest))
+        owner = np.fromiter(map(attrgetter("index"), owners), dtype=np.intp, count=n)
+        columns = {name: np.empty(n, dtype=dtype) for name, dtype in OUTCOME_FIELDS}
+        for index in np.unique(owner).tolist():
+            shard = self._live[index]
+            idx = np.flatnonzero(owner == index)
+            part = [finished[i] for i in idx.tolist()]
+            rows = shard.kernel._rows(part)
+            table = shard.kernel._settle(part, rows)
+            for name, _ in OUTCOME_FIELDS:
+                columns[name][idx] = getattr(table, name)
+            self._release(shard, rows)
+        return OutcomeTable(self.machine_names, **columns)
 
 
 # ---------------------------------------------------------------------------

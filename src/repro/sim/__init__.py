@@ -43,11 +43,7 @@ from repro.sim.policies import (
     FixedMachinePolicy,
     standard_policies,
 )
-from repro.sim.engine import (
-    MultiClusterSimulator,
-    SimulationResult,
-    StreamingSimulationResult,
-)
+from repro.sim.engine import MultiClusterSimulator, SimulationResult
 from repro.sim.sweep import SweepRunner, SweepTask, sweep_grid
 from repro.sim.metrics import PolicySummary, summarize
 from repro.sim.scenarios import (
@@ -95,7 +91,6 @@ __all__ = [
     "ShiftingSimulator",
     "TemporalShiftPlanner",
     "MigratingSimulator",
-    "StreamingSimulationResult",
     "open_swf_stream",
     "read_swf",
     "write_swf",

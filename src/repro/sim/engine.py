@@ -11,46 +11,48 @@ Event order is deterministic: (time, sequence) keys, arrivals before
 finishes at equal times, so a seeded workload yields identical results
 across runs.
 
-Batched pricing architecture
-----------------------------
-Pricing is the hot path: a paper-scale run prices every (job x eligible
-machine) pair at arrival and every finished job again at completion.
-The engine follows the quote-table / settle contract of
+One event loop
+--------------
+:meth:`MultiClusterSimulator.run` is a single loop over submit-ordered
+job *chunks*.  A :class:`~repro.sim.workload.StreamingWorkload` delivers
+many; an in-memory :class:`~repro.sim.workload.Workload` is one chunk.
+Pricing follows the quote-table / settle contract of
 :mod:`repro.accounting.pricing`:
 
-1. a :class:`~repro.accounting.pricing.PricingKernel` **precomputes**
-   all arrival-time (submission-quote) charges once at workload load
-   with one vectorized
+1. each chunk gets a quote-table shard from a
+   :class:`~repro.accounting.pricing.ShardedPricingKernel`, which
+   **precomputes** every arrival-time (submission-quote) charge of the
+   chunk with one vectorized
    :meth:`~repro.accounting.base.AccountingMethod.charge_many` call per
-   machine (arrival time *is* the submit time, which is known up front
-   — EBA charges are time-invariant and CBA varies only with the hour
-   bucket of the cyclic trace), and
-2. outcome pricing is **settled** in a vectorized post-pass over the
-   finish log (:meth:`~repro.accounting.pricing.PricingKernel.price_outcomes`),
-   producing the columnar :class:`~repro.accounting.pricing.OutcomeTable`
-   that backs :class:`SimulationResult`.
+   machine (arrival time *is* the submit time — EBA charges are
+   time-invariant and CBA varies only with the hour bucket of the
+   cyclic trace).  An in-memory run's shard may adopt a prebuilt
+   ``quote_table``; a shard retires once its last job settles;
+2. finished jobs are **settled** in vectorized blocks of up to
+   ``spill_block_jobs`` (a block also closes when a chunk loads)
+   (:meth:`~repro.accounting.pricing.ShardedPricingKernel.price_block`)
+   and appended to an :class:`~repro.accounting.spill.OutcomeSpillStore`
+   — in memory by default, as ``.npz`` segments under ``spill_dir``.
 
-Both paths produce bit-identical costs to the per-record loop (the
-vectorized methods use the same IEEE operation order); pass
-``batched=False`` to run the reference scalar path, which the test
-suite uses to assert exact equivalence.
+Each chunk's arrivals are spliced into the calendar before the next
+pop, so event order equals that of a run that saw the whole workload at
+once, and the completion-ordered blocks back one
+:class:`SimulationResult` whatever the chunking.  The vectorized pricing
+is bit-identical to pricing record by record; the seed-loop port in the
+test suite is the reference it is checked against.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.accounting.base import (
-    AccountingMethod,
-    MachinePricing,
-    UsageRecord,
-)
-from repro.accounting.methods import CarbonBasedAccounting
+from repro.accounting.base import AccountingMethod, MachinePricing
 from repro.accounting.pricing import (
+    FloatArray,
+    IntArray,
     OutcomeTable,
-    PricingKernel,
     QuoteTable,
     ShardedPricingKernel,
 )
@@ -61,21 +63,48 @@ from repro.sim.job import Job, JobOutcome
 from repro.sim.policies import MachineView, Policy
 from repro.sim.scenarios import SimMachine
 from repro.sim.workload import StreamingWorkload, Workload
-from repro.units import operational_carbon_g
 
-#: Finished jobs settled (and spilled) per block on the streaming path.
+#: Finished jobs settled (and spilled) per block.
 DEFAULT_SPILL_BLOCK_JOBS = 32_768
 
-def _seq_sum(column: np.ndarray) -> float:
-    """Left-to-right sum of a column.
+#: Per-job ``(machine, runtime, energy, quoted cost)`` views of a shard.
+QuoteViews = list[list[tuple[str, float, float, float]]]
+
+
+def _running_sums(column: FloatArray, carry: float | None) -> FloatArray:
+    """Left-to-right running sums of ``column``, continuing from ``carry``.
 
     ``np.cumsum`` accumulates sequentially, so this reproduces the exact
-    floats of the reference ``sum(o.field for o in outcomes)`` loops —
-    which matters because budget queries compare a *running* spend
-    against totals and must not disagree by an ulp (``np.sum`` pairwise
-    summation would).
+    floats of the reference ``total += x`` loops — which matters because
+    budget queries compare a *running* spend against totals and must not
+    disagree by an ulp (``np.sum`` pairwise summation would).  Prepending
+    the carry of earlier blocks continues the identical addition chain;
+    the first block seeds it, so there is no spurious leading ``0.0 +``.
     """
-    return float(np.cumsum(column)[-1]) if len(column) else 0.0
+    if carry is None:
+        return np.cumsum(column)
+    return np.cumsum(np.concatenate(([carry], column)))[1:]
+
+
+def _chained_sum(columns: Iterable[FloatArray]) -> float:
+    """Left-to-right sum of the concatenated ``columns``, one at a time."""
+    carry: float | None = None
+    for values in columns:
+        if len(values):
+            carry = float(_running_sums(values, carry)[-1])
+    return 0.0 if carry is None else carry
+
+
+def _end_order(end_s: FloatArray) -> slice | IntArray:
+    """Stable end-time order of one block's rows.
+
+    Engine blocks are slices of the completion-ordered finish log, so
+    theirs is the identity (a ``slice``, which indexes without copying
+    or sorting); only rows built in another order get an ``argsort``.
+    """
+    if np.all(end_s[1:] >= end_s[:-1]):
+        return slice(None)
+    return np.argsort(end_s, kind="stable")
 
 
 def pricing_for_sim_machine(machine: SimMachine) -> MachinePricing:
@@ -101,18 +130,30 @@ def pricing_for_sim_machine(machine: SimMachine) -> MachinePricing:
     )
 
 
-# repro-lint: disable=RPL007 (one object per run, not per row; the lazy row/order caches live in __dict__ so pickling across sweep workers stays layout-stable)
+# repro-lint: disable=RPL007 (one object per run, not per row; the lazy table cache lives in __dict__ so pickling across sweep workers stays layout-stable)
 class SimulationResult:
     """All job outcomes of one (policy, method) simulation run.
 
-    Array-backed: the canonical storage is a columnar
-    :class:`~repro.accounting.pricing.OutcomeTable` (``result.table``);
-    every aggregate below is an array expression over its columns.
-    ``result.outcomes`` remains available as a *lazy row view* — the
-    :class:`~repro.sim.job.JobOutcome` objects are materialized on first
-    access and cached — so row-oriented consumers keep working
-    unchanged.  Construct with either ``table=`` (the batched paths) or
-    ``outcomes=`` (per-record reference paths and wrappers).
+    The rows are a sequence of completion-ordered column blocks
+    (:class:`~repro.accounting.pricing.OutcomeTable`) held by an
+    :class:`~repro.accounting.spill.OutcomeSpillStore`
+    (``result.store``): an in-memory result is one block, a long run
+    spills many.  Construct with ``store=`` (the engine) or with one
+    block as ``table=`` or ``outcomes=``.
+
+    Every aggregate has one body: it walks the blocks with carried
+    accumulators, taking each block in stable end-time order.  On one
+    block that is a whole-table stable sort + ``cumsum``; on many it is
+    exact because the blocks are consecutive slices of the
+    completion-ordered finish log (end times never decrease across
+    blocks) and ``np.cumsum`` / ``np.add.at`` accumulate sequentially,
+    so a carried partial sum replays the whole-column left-to-right
+    accumulation bit for bit.  Blocks load one at a time, so a budget
+    query on a spilled result reads no segment past its cutoff.
+
+    :attr:`table` and :attr:`outcomes` materialize (and cache) every
+    row; on a spilled result that defeats the flat-memory point, so
+    aggregate through the methods instead.
     """
 
     def __init__(
@@ -122,195 +163,79 @@ class SimulationResult:
         machines: list[str],
         outcomes: list[JobOutcome] | None = None,
         table: OutcomeTable | None = None,
+        store: OutcomeSpillStore | None = None,
+        shard_stats: dict[str, int] | None = None,
     ) -> None:
-        if (table is None) == (outcomes is None):
-            raise ValueError("pass exactly one of outcomes= or table=")
-        if table is None:
-            table = OutcomeTable.from_rows(outcomes, machines)
-        self.policy = policy
-        self.method = method
-        self.machines = list(machines)
-        self.table = table
-
-    # ------------------------------------------------------------------
-    @property
-    def outcomes(self) -> list[JobOutcome]:
-        """Lazy row view over :attr:`table` (built once, then cached)."""
-        return self.table.rows()
-
-    @property
-    def n_jobs(self) -> int:
-        return len(self.table)
-
-    @property
-    def makespan_s(self) -> float:
-        table = self.table
-        return float(table.end_s.max()) if len(table) else 0.0
-
-    def total_cost(self) -> float:
-        return _seq_sum(self.table.cost)
-
-    def total_energy_j(self) -> float:
-        return _seq_sum(self.table.energy_j)
-
-    def total_work_core_hours(self) -> float:
-        return _seq_sum(self.table.work_core_hours)
-
-    def total_operational_carbon_g(self) -> float:
-        return _seq_sum(self.table.operational_carbon_g)
-
-    def total_attributed_carbon_g(self) -> float:
-        return _seq_sum(self.table.attributed_carbon_g)
-
-    # ------------------------------------------------------------------
-    def _end_order(self) -> np.ndarray:
-        """Completion-order permutation, computed once and cached.
-
-        Budget queries and the Fig. 5b series all consume this order;
-        outcomes are treated as immutable once the run has finished.
-        """
-        cached = self.__dict__.get("_end_order_cache")
-        if cached is None:
-            cached = np.argsort(self.table.end_s, kind="stable")
-            self.__dict__["_end_order_cache"] = cached
-        return cached
-
-    def _budget_cutoff(self, budget: float) -> tuple[int, np.ndarray]:
-        """(number of jobs inside ``budget``, completion-order permutation).
-
-        ``np.cumsum`` accumulates sequentially, so the running spend is
-        bit-identical to the reference loop's ``spent += cost``.
-        """
-        if budget < 0:
-            raise ValueError("budget cannot be negative")
-        order = self._end_order()
-        spent = np.cumsum(self.table.cost[order])
-        count = int(np.searchsorted(spent > budget, True))
-        return count, order
-
-    def work_with_budget(self, budget: float) -> float:
-        """Core-hours of work completed before a fixed allocation runs out.
-
-        Jobs are consumed in completion order; once cumulative cost
-        exceeds ``budget`` the remaining jobs are outside the allocation
-        (Fig. 5a / Fig. 6 semantics)."""
-        count, order = self._budget_cutoff(budget)
-        if count == 0:
-            return 0.0
-        work = np.cumsum(self.table.work_core_hours[order[:count]])
-        return float(work[-1])
-
-    def jobs_with_budget(self, budget: float) -> int:
-        """Jobs completed before a fixed allocation runs out."""
-        count, _ = self._budget_cutoff(budget)
-        return count
-
-    def jobs_finished_by(self, times_s: list[float]) -> list[int]:
-        """Cumulative jobs finished at each query time (Fig. 5b)."""
-        ends = self.table.end_s[self._end_order()]
-        return np.searchsorted(ends, np.asarray(times_s), side="right").tolist()
-
-    def machine_distribution(self) -> dict[str, int]:
-        """Jobs per machine (Fig. 5c)."""
-        table = self.table
-        counts = np.bincount(table.machine_code, minlength=len(table.machines))
-        dist = {m: 0 for m in self.machines}
-        for name, count in zip(table.machines, counts.tolist()):
-            if count or name in dist:
-                dist[name] = dist.get(name, 0) + count
-        return dist
-
-    def mean_queue_wait_s(self) -> float:
-        table = self.table
-        if not len(table):
-            return 0.0
-        return _seq_sum(table.start_s - table.submit_s) / len(table)
-
-    # ------------------------------------------------------------------
-    def iter_tables(self) -> Iterator[OutcomeTable]:
-        """The result as a sequence of completion-ordered column blocks.
-
-        In-memory results are a single block; streamed results yield
-        their spilled blocks one at a time.  Consumers that aggregate
-        with carried accumulators (e.g. :func:`repro.reporting.fleet_report`)
-        work on both without materializing streamed rows.
-        """
-        yield self.table
-
-    def user_balances(self) -> dict[int, float]:
-        """Settled cost per user — the credit-ledger view of a run.
-
-        ``np.add.at`` is unbuffered and applies repeated indices in row
-        order, so each user's balance is the same left-to-right float
-        accumulation as the reference ``balance[user] += cost`` loop.
-        """
-        table = self.table
-        if not len(table):
-            return {}
-        users = np.unique(table.user)
-        acc = np.zeros(len(users))
-        np.add.at(acc, np.searchsorted(users, table.user), table.cost)
-        return {int(u): float(v) for u, v in zip(users, acc)}
-
-    # ------------------------------------------------------------------
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_end_order_cache", None)
-        return state
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SimulationResult(policy={self.policy!r}, method={self.method!r}, "
-            f"n_jobs={self.n_jobs})"
-        )
-
-
-# repro-lint: disable=RPL007 (one object per run; inherits SimulationResult's __dict__-based lazy caches — see the waiver there)
-class StreamingSimulationResult(SimulationResult):
-    """A simulation result whose rows live in an outcome spill store.
-
-    Drop-in compatible with :class:`SimulationResult`: every aggregate
-    returns the identical floats, computed by streaming the spilled
-    blocks with carried accumulators instead of holding all rows.  The
-    exactness rests on two facts — the blocks are consecutive slices of
-    the completion-ordered finish log (so ``end_s`` is globally
-    non-decreasing and the reference completion-order permutation is the
-    identity), and ``np.cumsum`` / ``np.add.at`` accumulate
-    sequentially, so carrying a partial sum into the next block replays
-    the whole-column left-to-right accumulation bit for bit.
-
-    Accessing :attr:`table` (or :attr:`outcomes`) still works — it
-    materializes and caches the concatenated table — but defeats the
-    flat-memory point; aggregate through the methods instead.
-    """
-
-    def __init__(
-        self,
-        policy: str,
-        method: str,
-        machines: list[str],
-        store: OutcomeSpillStore,
-        shard_stats: dict | None = None,
-    ) -> None:
+        if sum(arg is not None for arg in (outcomes, table, store)) != 1:
+            raise ValueError("pass exactly one of outcomes=, table= or store=")
+        if store is None:
+            if table is None:
+                table = OutcomeTable.from_rows(outcomes or [], machines)
+            store = OutcomeSpillStore(table.machines)
+            store.append(table)
         self.policy = policy
         self.method = method
         self.machines = list(machines)
         self.store = store
-        #: Shard lifecycle counters from the pricing kernel
-        #: (built/retired/peak live), for diagnostics and tests.
+        #: Shard lifecycle counters of the engine's pricing kernel
+        #: (built/retired/peak live); empty for results built from rows.
         self.shard_stats = dict(shard_stats or {})
 
     # ------------------------------------------------------------------
     @property
     def table(self) -> OutcomeTable:
+        """Every row as one table (built once, then cached)."""
         cached = self.__dict__.get("_table_cache")
         if cached is None:
-            cached = self.store.materialize()
-            self.__dict__["_table_cache"] = cached
+            cached = self.__dict__["_table_cache"] = self.store.materialize()
         return cached
 
+    @property
+    def outcomes(self) -> list[JobOutcome]:
+        """Lazy row view over :attr:`table` (built once, then cached)."""
+        return self.table.rows()
+
     def iter_tables(self) -> Iterator[OutcomeTable]:
-        yield from self.store.blocks()
+        """The result as completion-ordered column blocks, one at a time.
+
+        An in-memory result is one block (an empty result one empty
+        block); a spilled result loads its segments one by one, so
+        consumers that aggregate with carried accumulators (e.g.
+        :func:`repro.reporting.fleet_report`) never hold all rows.
+        """
+        if len(self.store):
+            return self.store.blocks()
+        return iter((self.table,))
+
+    def _ordered(self) -> Iterator[tuple[OutcomeTable, slice | IntArray]]:
+        """Each block with its stable end-time order, one block at a time."""
+        return ((block, _end_order(block.end_s)) for block in self.iter_tables())
+
+    def _affordable(
+        self, budget: float
+    ) -> Iterator[tuple[OutcomeTable, slice | IntArray, int]]:
+        """Walk the blocks in completion order while ``budget`` lasts.
+
+        Yields each block, its end order, and how many of its ordered
+        rows fit the running spend; stops after the block where the
+        budget runs out.
+        """
+        if budget < 0:
+            raise ValueError("budget cannot be negative")
+        carry: float | None = None
+        for block, order in self._ordered():
+            if not len(block):
+                continue
+            spent = _running_sums(block.cost[order], carry)
+            cut = int(np.searchsorted(spent > budget, True))
+            yield block, order, cut
+            if cut < len(block):
+                return
+            carry = float(spent[-1])
+
+    def _total(self, column: Callable[[OutcomeTable], FloatArray]) -> float:
+        """Left-to-right sum of a column over every row, in row order."""
+        return _chained_sum(column(block) for block in self.iter_tables())
 
     # ------------------------------------------------------------------
     @property
@@ -319,117 +244,55 @@ class StreamingSimulationResult(SimulationResult):
 
     @property
     def makespan_s(self) -> float:
-        latest = 0.0
-        empty = True
-        for block in self.iter_tables():
-            empty = False
-            latest = max(latest, float(block.end_s.max()))
-        return 0.0 if empty else latest
-
-    def _stream_seq_sum(self, column: str) -> float:
-        """Whole-column :func:`_seq_sum` replayed block-wise.
-
-        The first block seeds the accumulator with its own cumsum (so
-        the first addition is ``c0 + c1``, exactly as in the reference);
-        later blocks prepend the carry, which continues the identical
-        left-to-right addition chain.
-        """
-        acc: float | None = None
-        for block in self.iter_tables():
-            col = getattr(block, column)
-            if not len(col):
-                continue
-            if acc is None:
-                acc = float(np.cumsum(col)[-1])
-            else:
-                acc = float(np.cumsum(np.concatenate(([acc], col)))[-1])
-        return 0.0 if acc is None else acc
+        return max(
+            (float(b.end_s.max()) for b in self.iter_tables() if len(b)), default=0.0
+        )
 
     def total_cost(self) -> float:
-        return self._stream_seq_sum("cost")
+        return self._total(lambda b: b.cost)
 
     def total_energy_j(self) -> float:
-        return self._stream_seq_sum("energy_j")
+        return self._total(lambda b: b.energy_j)
 
     def total_work_core_hours(self) -> float:
-        return self._stream_seq_sum("work_core_hours")
+        return self._total(lambda b: b.work_core_hours)
 
     def total_operational_carbon_g(self) -> float:
-        return self._stream_seq_sum("operational_carbon_g")
+        return self._total(lambda b: b.operational_carbon_g)
 
     def total_attributed_carbon_g(self) -> float:
-        return self._stream_seq_sum("attributed_carbon_g")
+        return self._total(lambda b: b.attributed_carbon_g)
 
     def mean_queue_wait_s(self) -> float:
-        if not len(self.store):
-            return 0.0
-        acc: float | None = None
-        for block in self.iter_tables():
-            col = block.start_s - block.submit_s
-            if not len(col):
-                continue
-            if acc is None:
-                acc = float(np.cumsum(col)[-1])
-            else:
-                acc = float(np.cumsum(np.concatenate(([acc], col)))[-1])
-        return (acc or 0.0) / len(self.store)
+        n = self.n_jobs
+        return self._total(lambda b: b.start_s - b.submit_s) / n if n else 0.0
 
     # ------------------------------------------------------------------
-    def _streamed_cutoff(self, budget: float) -> int:
-        """Jobs affordable within ``budget``, streamed in block order.
-
-        Blocks are already in completion order, so the reference
-        permutation is the identity; the running spend carries across
-        blocks through the same cumsum trick as the totals.
-        """
-        if budget < 0:
-            raise ValueError("budget cannot be negative")
-        count = 0
-        acc: float | None = None
-        for block in self.iter_tables():
-            cost = block.cost
-            if not len(cost):
-                continue
-            if acc is None:
-                spent = np.cumsum(cost)
-            else:
-                spent = np.cumsum(np.concatenate(([acc], cost)))[1:]
-            cut = int(np.searchsorted(spent > budget, True))
-            count += cut
-            if cut < len(cost):
-                return count
-            acc = float(spent[-1])
-        return count
-
     def jobs_with_budget(self, budget: float) -> int:
-        return self._streamed_cutoff(budget)
+        """Jobs completed before a fixed allocation runs out.
+
+        Jobs are consumed in completion order; once cumulative cost
+        exceeds ``budget`` the remaining jobs are outside the allocation
+        (Fig. 5a / Fig. 6 semantics)."""
+        return sum(cut for _, _, cut in self._affordable(budget))
 
     def work_with_budget(self, budget: float) -> float:
-        count = self._streamed_cutoff(budget)
-        if count == 0:
-            return 0.0
-        remaining = count
-        acc: float | None = None
-        for block in self.iter_tables():
-            col = block.work_core_hours[:remaining]
-            if len(col):
-                if acc is None:
-                    acc = float(np.cumsum(col)[-1])
-                else:
-                    acc = float(np.cumsum(np.concatenate(([acc], col)))[-1])
-            remaining -= len(col)
-            if remaining <= 0:
-                break
-        return acc or 0.0
+        """Core-hours of work completed before a fixed allocation runs out."""
+        return _chained_sum(
+            block.work_core_hours[order][:cut]
+            for block, order, cut in self._affordable(budget)
+        )
 
     def jobs_finished_by(self, times_s: list[float]) -> list[int]:
+        """Cumulative jobs finished at each query time (Fig. 5b)."""
         times = np.asarray(times_s)
         counts = np.zeros(len(times), dtype=np.int64)
-        for block in self.iter_tables():
-            counts += np.searchsorted(block.end_s, times, side="right")
+        for block, order in self._ordered():
+            counts += np.searchsorted(block.end_s[order], times, side="right")
         return counts.tolist()
 
     def machine_distribution(self) -> dict[str, int]:
+        """Jobs per machine (Fig. 5c)."""
         names = self.store.machines
         counts = np.zeros(len(names), dtype=np.int64)
         for block in self.iter_tables():
@@ -441,27 +304,32 @@ class StreamingSimulationResult(SimulationResult):
         return dist
 
     def user_balances(self) -> dict[int, float]:
-        blocks_users = [np.unique(b.user) for b in self.iter_tables()]
-        if not blocks_users:
+        """Settled cost per user — the credit-ledger view of a run.
+
+        ``np.add.at`` is unbuffered and applies repeated indices in row
+        order, so each user's balance is the same left-to-right float
+        accumulation as the reference ``balance[user] += cost`` loop.
+        """
+        if not self.n_jobs:
             return {}
-        users = np.unique(np.concatenate(blocks_users))
+        users = np.unique(
+            np.concatenate([np.unique(b.user) for b in self.iter_tables()])
+        )
         acc = np.zeros(len(users))
         for block in self.iter_tables():
             np.add.at(acc, np.searchsorted(users, block.user), block.cost)
         return {int(u): float(v) for u, v in zip(users, acc)}
 
     # ------------------------------------------------------------------
-    def __getstate__(self):
+    def __getstate__(self) -> dict[str, object]:
         state = dict(self.__dict__)
         state.pop("_table_cache", None)
-        state.pop("_end_order_cache", None)
         return state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"StreamingSimulationResult(policy={self.policy!r}, "
-            f"method={self.method!r}, n_jobs={self.n_jobs}, "
-            f"blocks={self.store.n_blocks})"
+            f"SimulationResult(policy={self.policy!r}, method={self.method!r}, "
+            f"n_jobs={self.n_jobs}, blocks={self.store.n_blocks})"
         )
 
 
@@ -476,39 +344,33 @@ class MultiClusterSimulator:
         Accounting method that prices jobs (and that Greedy/Mixed see).
     policy:
         The machine-selection policy under study.
-    batched:
-        Use the vectorized pricing paths (default).  ``False`` runs the
-        reference per-record implementation; outcomes are bit-identical
-        either way.
     quote_table:
         Optional prebuilt
-        :class:`~repro.accounting.pricing.QuoteTable` for the workload
-        this simulator will run (e.g. from a sweep's shared
-        :class:`~repro.accounting.pricing.QuoteTableCache`); skips the
-        per-run quote-table build, which dominates short runs.
-        Validated against the workload at ``run()``; ignored when
-        ``batched=False``.
+        :class:`~repro.accounting.pricing.QuoteTable` for the in-memory
+        workload this simulator will run (e.g. from a sweep's shared
+        :class:`~repro.accounting.pricing.QuoteTableCache`); the run's
+        one chunk adopts it instead of pricing the workload, which
+        dominates short runs.  Validated against the workload at
+        ``run()``; streamed runs build a shard per chunk and reject it.
     spill_dir:
-        Streaming runs only: directory for the outcome spill store's
-        ``.npz`` segments.  ``None`` (the default) keeps settled blocks
-        in memory — still chunked, but not flat; pass a directory for
-        archive-scale traces.
+        Directory for the outcome spill store's ``.npz`` segments.
+        ``None`` (the default) keeps settled blocks in memory; pass a
+        directory for archive-scale traces.
     spill_block_jobs:
-        Streaming runs only: finished jobs settled (and spilled) per
-        block.  Any value yields bit-identical results; it only trades
-        settlement batch efficiency against peak memory.
+        Finished jobs settled (and spilled) per block; a block also
+        closes when the next chunk loads.  Any value yields
+        bit-identical results; it only trades settlement batch
+        efficiency against peak memory.
     """
 
     __slots__ = (
         "machines",
         "method",
         "policy",
-        "batched",
         "quote_table",
         "spill_dir",
         "spill_block_jobs",
         "pricings",
-        "_carbon",
     )
 
     def __init__(
@@ -516,7 +378,6 @@ class MultiClusterSimulator:
         machines: dict[str, SimMachine],
         method: AccountingMethod,
         policy: Policy,
-        batched: bool = True,
         quote_table: QuoteTable | None = None,
         spill_dir: str | None = None,
         spill_block_jobs: int = DEFAULT_SPILL_BLOCK_JOBS,
@@ -528,83 +389,73 @@ class MultiClusterSimulator:
         self.machines = machines
         self.method = method
         self.policy = policy
-        self.batched = batched
         self.quote_table = quote_table
         self.spill_dir = spill_dir
         self.spill_block_jobs = spill_block_jobs
         self.pricings = {
             name: pricing_for_sim_machine(m) for name, m in machines.items()
         }
-        self._carbon = CarbonBasedAccounting()
 
-    # ------------------------------------------------------------------
-    def _views(
-        self, job: Job, clusters: dict[str, ClusterSim], now: float
-    ) -> list[MachineView]:
-        """Reference (per-record) view builder — the ``batched=False`` path."""
-        views = []
-        for name in job.eligible_machines:
-            if name not in clusters:
-                continue
-            runtime = job.runtime_s[name]
-            energy = job.energy_j[name]
-            record = UsageRecord(
-                machine=name,
-                duration_s=runtime,
-                energy_j=energy,
-                cores=job.cores,
-                start_time_s=now,
-            )
-            views.append(
-                MachineView(
-                    machine=name,
-                    runtime_s=runtime,
-                    energy_j=energy,
-                    queue_wait_s=clusters[name].estimated_wait_s(now),
-                    # repro-lint: disable=RPL004 (batched=False reference path; the equivalence tests compare the kernels against exactly this loop)
-                    cost=self.method.charge(record, self.pricings[name]),
-                )
-            )
-        return views
-
-    def run(
-        self, workload: Workload | StreamingWorkload
-    ) -> SimulationResult:
+    def run(self, workload: Workload | StreamingWorkload) -> SimulationResult:
         """Run the full workload to completion and collect outcomes.
 
         Events come from the shared :class:`~repro.sim.events.EventCalendar`
         (one ``(time, kind, seq)`` discipline): arrivals are consumed
-        from the submit-sorted job list and only *finishes* live in the
+        from the submit-sorted chunk and only *finishes* live in the
         heap — at equal times arrivals still precede finishes, and ties
         within a kind keep submission/push order, exactly as the seed
         loop ordered them.
 
-        A :class:`~repro.sim.workload.StreamingWorkload` takes the
-        flat-memory path (:meth:`_run_streaming`): same event
-        discipline, same pricing math, chunked ingestion and spilled
-        settlement — results are bit-identical to running the
-        materialized workload through this method.
+        The next chunk is loaded as soon as the current one's last
+        arrival has been handled — before the next pop, so the merge
+        always sees the globally next arrival.  Quotes come from the
+        newest chunk's shard (every arrival belongs to it), and finished
+        jobs settle in blocks of at most ``spill_block_jobs``, closed
+        early when a chunk loads.  A chunk may therefore reuse the id of
+        any job that has finished, but not of one still queued or
+        running (:class:`ValueError` naming the id).  Peak memory
+        is O(chunk + in-flight jobs + one block), plus the settled
+        blocks when the spill store keeps them in memory.
         """
         if isinstance(workload, StreamingWorkload):
-            return self._run_streaming(workload)
+            if self.quote_table is not None:
+                raise ValueError(
+                    "a prebuilt quote table cannot back a streaming run; "
+                    "shards are built per chunk"
+                )
+            chunks: Iterator[list[Job]] = workload.chunks()
+            source = workload.source
+        else:
+            chunks = iter((workload.jobs,))
+            source = "<memory>"
         clusters = {name: ClusterSim(m) for name, m in self.machines.items()}
-        kernel = (
-            PricingKernel(
-                workload.jobs, self.pricings, self.method,
-                table=self.quote_table,
-            )
-            if self.batched
-            else None
-        )
-        calendar = EventCalendar(workload.jobs)
+        kernel = ShardedPricingKernel(self.pricings, self.method, workload_token=source)
+        calendar = EventCalendar()
+        store = OutcomeSpillStore(kernel.machine_names, directory=self.spill_dir)
+        pending: list[tuple[Job, str, float, float]] = []
+        block_jobs = self.spill_block_jobs
 
-        outcomes: list[JobOutcome] = []
-        finished: list[tuple[Job, str, float, float]] = []
+        def settle_pending() -> None:
+            store.append(kernel.price_block(pending))
+            pending.clear()
+
+        def load_next_chunk() -> tuple[QuoteViews, dict[int, int]]:
+            """Load the next non-empty chunk; its shard's quote views.
+
+            Jobs that have finished are settled first, so the chunk's
+            id check sees exactly the jobs still queued or running.
+            """
+            for chunk in chunks:
+                if chunk:
+                    if pending:
+                        settle_pending()
+                    shard = kernel.load_chunk(chunk, self.quote_table)
+                    calendar.refill(chunk)
+                    return shard.kernel.static_views, shard.kernel.row_of
+            return [], {}
 
         schedule_finish = calendar.schedule_finish
         select = self.policy.select
-        static_views = kernel.static_views if kernel is not None else None
-        row_of = kernel.row_of if kernel is not None else None
 
         def try_start(cluster: ClusterSim, now: float) -> None:
             if not cluster.queue or cluster.free_cores <= 0:
@@ -614,115 +465,12 @@ class MultiClusterSimulator:
                 #: Finish payload: (machine, job_id, start_time).
                 schedule_finish(end, (cluster.name, job.job_id, now))
 
-        while True:
-            event = calendar.pop()
-            if event is None:
-                break
-            now, kind, payload = event
-            if kind == ARRIVAL:
-                job = payload
-                if static_views is not None:
-                    views = [
-                        MachineView(
-                            name, rt, en, clusters[name].estimated_wait_s(now), cost
-                        )
-                        for name, rt, en, cost in static_views[row_of[job.job_id]]
-                    ]
-                else:
-                    views = self._views(job, clusters, now)
-                if not views:
-                    continue
-                cluster = clusters[select(job, views)]
-                cluster.enqueue(job)
-                try_start(cluster, now)
-            else:
-                machine_name, job_id, start_s = payload
-                cluster = clusters[machine_name]
-                job = cluster.finish(job_id)
-                if kernel is not None:
-                    finished.append((job, machine_name, start_s, now))
-                else:
-                    outcomes.append(self._outcome(job, machine_name, start_s, now))
-                try_start(cluster, now)
-
-        if kernel is not None:
-            return SimulationResult(
-                policy=self.policy.name,
-                method=self.method.name,
-                machines=list(self.machines),
-                table=kernel.price_outcomes(finished),
-            )
-
-        return SimulationResult(
-            policy=self.policy.name,
-            method=self.method.name,
-            machines=list(self.machines),
-            outcomes=outcomes,
-        )
-
-    # ------------------------------------------------------------------
-    def _run_streaming(
-        self, stream: StreamingWorkload
-    ) -> StreamingSimulationResult:
-        """Flat-memory run: chunked arrivals, sharded quotes, spilled
-        settlement.
-
-        The event loop is the same as :meth:`run`'s; what changes is
-        where state lives.  Arrivals refill the calendar one chunk at a
-        time — always *before* the next pop, so the globally next
-        arrival is visible whenever the calendar merges it against the
-        finish heap and the event order matches the in-memory run
-        exactly.  Quotes come from a per-chunk
-        :class:`~repro.accounting.pricing.QuoteTableShard` that retires
-        when its last job settles, and finished jobs settle in
-        ``spill_block_jobs``-sized blocks flushed to the spill store.
-        Peak memory is O(chunk + in-flight jobs), never O(trace).
-        """
-        if not self.batched:
-            raise ValueError("streaming ingestion requires batched=True")
-        if self.quote_table is not None:
-            raise ValueError(
-                "a prebuilt quote table cannot back a streaming run; "
-                "shards are built per chunk"
-            )
-        clusters = {name: ClusterSim(m) for name, m in self.machines.items()}
-        kernel = ShardedPricingKernel(
-            self.pricings, self.method, workload_token=stream.source
-        )
-        calendar = EventCalendar(())
-        store = OutcomeSpillStore(kernel.machine_names, directory=self.spill_dir)
-        chunks = stream.chunks()
-        pending: list[tuple[Job, str, float, float]] = []
-        block_jobs = self.spill_block_jobs
-
-        schedule_finish = calendar.schedule_finish
-        select = self.policy.select
-        views_of = kernel.static_views_of
-
-        def try_start(cluster: ClusterSim, now: float) -> None:
-            if not cluster.queue or cluster.free_cores <= 0:
-                return
-            for job in cluster.startable(now):
-                end = cluster.end_time_of(job.job_id)
-                schedule_finish(end, (cluster.name, job.job_id, now))
-
-        exhausted = False
         try:
+            static_views, row_of = load_next_chunk()
             while True:
-                if not exhausted and not calendar.arrivals_pending:
-                    chunk = next(chunks, None)
-                    while chunk is not None and not chunk:
-                        chunk = next(chunks, None)
-                    if chunk is None:
-                        exhausted = True
-                    else:
-                        kernel.load_chunk(chunk)
-                        calendar.refill(chunk)
                 event = calendar.pop()
                 if event is None:
-                    if exhausted:
-                        break
-                    continue
+                    break
                 now, kind, payload = event
                 if kind == ARRIVAL:
                     job = payload
@@ -730,26 +478,25 @@ class MultiClusterSimulator:
                         MachineView(
                             name, rt, en, clusters[name].estimated_wait_s(now), cost
                         )
-                        for name, rt, en, cost in views_of(job.job_id)
+                        for name, rt, en, cost in static_views[row_of[job.job_id]]
                     ]
-                    if not views:
+                    if views:
+                        cluster = clusters[select(job, views)]
+                        cluster.enqueue(job)
+                        try_start(cluster, now)
+                    else:
                         kernel.discard(job.job_id)
-                        continue
-                    cluster = clusters[select(job, views)]
-                    cluster.enqueue(job)
-                    try_start(cluster, now)
+                    if not calendar.arrivals_pending:
+                        static_views, row_of = load_next_chunk()
                 else:
                     machine_name, job_id, start_s = payload
                     cluster = clusters[machine_name]
-                    job = cluster.finish(job_id)
-                    pending.append((job, machine_name, start_s, now))
+                    pending.append((cluster.finish(job_id), machine_name, start_s, now))
                     if len(pending) >= block_jobs:
-                        store.append(kernel.price_block(pending))
-                        pending.clear()
+                        settle_pending()
                     try_start(cluster, now)
             if pending:
-                store.append(kernel.price_block(pending))
-                pending.clear()
+                settle_pending()
         except BaseException:
             # A mid-flight failure (bad chunk, raising policy, pricing
             # error) must not strand spilled ``block-*.npz`` segments on
@@ -758,7 +505,7 @@ class MultiClusterSimulator:
             # it, so unlink the segments before propagating.
             store.close()
             raise
-        return StreamingSimulationResult(
+        return SimulationResult(
             policy=self.policy.name,
             method=self.method.name,
             machines=list(self.machines),
@@ -768,39 +515,4 @@ class MultiClusterSimulator:
                 "retired": kernel.shards_retired,
                 "peak_live": kernel.peak_live_shards,
             },
-        )
-
-    # ------------------------------------------------------------------
-    def _outcome(
-        self, job: Job, machine_name: str, start_s: float, end_s: float
-    ) -> JobOutcome:
-        """Reference (per-record) outcome pricing — the ``batched=False``
-        path."""
-        energy = job.energy_j[machine_name]
-        pricing = self.pricings[machine_name]
-        record = UsageRecord(
-            machine=machine_name,
-            duration_s=job.runtime_s[machine_name],
-            energy_j=energy,
-            cores=job.cores,
-            start_time_s=start_s,
-            job_id=str(job.job_id),
-        )
-        cost = self.method.charge(record, pricing)
-        intensity = self.machines[machine_name].intensity.at(start_s)
-        operational = operational_carbon_g(energy, intensity)
-        attributed = operational + self._carbon.embodied_charge(record, pricing)
-        return JobOutcome(
-            job_id=job.job_id,
-            user=job.user,
-            machine=machine_name,
-            cores=job.cores,
-            submit_s=job.submit_s,
-            start_s=start_s,
-            end_s=end_s,
-            energy_j=energy,
-            cost=cost,
-            work_core_hours=job.work_core_hours,
-            operational_carbon_g=operational,
-            attributed_carbon_g=attributed,
         )

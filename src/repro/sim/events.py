@@ -78,21 +78,15 @@ class EventCalendar:
     )
 
     def __init__(self, jobs: Sequence["Job"] = ()) -> None:
-        in_order = all(
-            a.submit_s <= b.submit_s for a, b in zip(jobs, jobs[1:])
-        )
-        self.arrivals: Sequence["Job"] = (
-            jobs if in_order else sorted(jobs, key=lambda j: j.submit_s)
-        )
+        self.arrivals: Sequence["Job"] = ()
         self._ai = 0
-        self._n = len(jobs)
+        self._n = 0
         #: Finish heap entries: (time_s, seq, payload).
         self._finishes: list[tuple[float, int, object]] = []
         self._seq = 0
         self._next_tick: float | None = None
-        self._last_arrival = (
-            self.arrivals[-1].submit_s if self._n else float("-inf")
-        )
+        self._last_arrival = float("-inf")
+        self.refill(jobs)
 
     # ------------------------------------------------------------------
     @property
@@ -103,29 +97,30 @@ class EventCalendar:
     def refill(self, jobs: Sequence["Job"]) -> None:
         """Replace the exhausted arrival list with the next chunk.
 
-        The streaming engine feeds arrivals chunk by chunk; a refill is
-        only legal once the previous chunk is fully consumed (otherwise
-        pending arrivals would be dropped), and the new chunk must
-        continue the global submit order — within itself and against
-        the last arrival already handed out — because the pop discipline
-        merges arrivals against the finish heap by comparing only the
-        *next* arrival's time.
+        The engine feeds arrivals chunk by chunk (an in-memory workload
+        is one chunk).  A chunk is taken in stable submit order — sorted
+        only when it is not already ordered, so equal-time arrivals keep
+        submission order — and must continue the global submit order
+        against the last arrival already handed out, because the pop
+        discipline merges arrivals against the finish heap by comparing
+        only the *next* arrival's time.  A refill is only legal once the
+        previous chunk is fully consumed (otherwise pending arrivals
+        would be dropped).
         """
         if self._ai < self._n:
             raise RuntimeError("refill with arrivals still pending")
-        last = self._last_arrival
-        for job in jobs:
-            if job.submit_s < last:
-                raise ValueError(
-                    "refill chunk breaks submit order: streaming arrivals "
-                    "must be non-decreasing across chunks"
-                )
-            last = job.submit_s
+        if not all(a.submit_s <= b.submit_s for a, b in zip(jobs, jobs[1:])):
+            jobs = sorted(jobs, key=lambda j: j.submit_s)
+        if jobs and jobs[0].submit_s < self._last_arrival:
+            raise ValueError(
+                "refill chunk breaks submit order: arrivals must be "
+                "non-decreasing across chunks"
+            )
         self.arrivals = jobs
         self._ai = 0
         self._n = len(jobs)
         if self._n:
-            self._last_arrival = last
+            self._last_arrival = jobs[-1].submit_s
 
     def next_disturbance(self) -> float:
         """Earliest pending arrival or finish time (``+inf`` if neither).

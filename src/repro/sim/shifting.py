@@ -195,5 +195,6 @@ class ShiftingSimulator:
             policy=f"{self.policy.name}+shift",
             method=self.method.name,
             machines=result.machines,
-            table=result.table,
+            store=result.store,
+            shard_stats=result.shard_stats,
         )

@@ -95,7 +95,6 @@ from repro.accounting.pricing import (
 from repro.sim.engine import (
     MultiClusterSimulator,
     SimulationResult,
-    StreamingSimulationResult,
     pricing_for_sim_machine,
 )
 from repro.sim.job import Job
@@ -379,25 +378,19 @@ class _ResultShm:
 
 
 def _result_to_shm(result: SimulationResult) -> _ResultShm:
-    """Copy a result's column buffers into one shared-memory block and
+    """Copy a result's column blocks into one shared-memory block and
     return the picklable envelope the parent rebuilds it from.
 
-    A :class:`~repro.sim.engine.StreamingSimulationResult` is packed
-    block-by-block straight off its spill store
+    Blocks are packed one at a time straight off the result's store
     (:meth:`OutcomeTable.stream_to_shm`), never materialized: spill
     segments live in the worker's filesystem/tempdir and must not
     outlive the worker, yet only one block of rows is resident here
-    while the parent receives the full concatenated columns."""
-    if isinstance(result, StreamingSimulationResult):
-        descriptor = OutcomeTable.stream_to_shm(
-            result.iter_tables(),
-            result.n_jobs,
-            result.store.machines,
-            hand_off=True,
-        )
-    else:
-        # repro-lint: disable=RPL003 (hand_off=True: the parent unlinks after _result_from_shm copies out, or via run()'s abort-path sweep)
-        descriptor = result.table.to_shm(hand_off=True)
+    while the parent receives the full concatenated columns.  The block
+    is handed off: the parent unlinks it after :func:`_result_from_shm`
+    copies out, or via :meth:`SweepRunner.run`'s abort-path sweep."""
+    descriptor = OutcomeTable.stream_to_shm(
+        result.iter_tables(), result.n_jobs, result.store.machines, hand_off=True
+    )
     return _ResultShm(
         table=descriptor,
         policy=result.policy,

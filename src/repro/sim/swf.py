@@ -410,9 +410,9 @@ def open_swf_stream(
 
     The returned workload re-reads the file on every iteration (streams
     are re-iterable, so one workload can back multiple runs).  The
-    engine's streaming loop requires arrivals in submit order, so the
-    chunk iterator enforces it — archive traces are sorted by
-    convention; unsorted ones must go through :func:`read_swf`.
+    engine's event loop requires arrivals in submit order across
+    chunks, so the chunk iterator enforces it — archive traces are
+    sorted by convention; unsorted ones must go through :func:`read_swf`.
     """
     path = Path(path)
 

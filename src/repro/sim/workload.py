@@ -99,11 +99,11 @@ class StreamingWorkload:
     The flat-memory counterpart of :class:`Workload`: instead of a job
     list, it carries a *factory* of chunk iterators, so the trace is
     re-parseable (one workload can back several runs) while no consumer
-    ever holds more than one chunk of jobs.  The engine's streaming loop
-    (:meth:`~repro.sim.engine.MultiClusterSimulator.run`) dispatches on
-    this type; chunks must be non-empty lists of jobs whose submit times
-    never decrease across the whole stream — producers such as
-    :func:`~repro.sim.swf.open_swf_stream` enforce that contract.
+    ever holds more than one chunk of jobs.  The engine's event loop
+    (:meth:`~repro.sim.engine.MultiClusterSimulator.run`) consumes it
+    chunk by chunk; submit times must never decrease from one chunk to
+    the next — producers such as :func:`~repro.sim.swf.open_swf_stream`
+    enforce that contract.
     """
 
     #: Zero-argument callable returning a fresh chunk iterator.

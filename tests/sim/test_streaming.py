@@ -15,7 +15,7 @@ from repro.accounting.methods import all_methods
 from repro.accounting.pricing import OUTCOME_FIELDS, QuoteTable
 from repro.accounting.spill import OutcomeSpillStore
 from repro.reporting import fleet_report
-from repro.sim.engine import MultiClusterSimulator, StreamingSimulationResult
+from repro.sim.engine import MultiClusterSimulator
 from repro.sim.events import EventCalendar
 from repro.sim.job import Job
 from repro.sim.policies import EFTPolicy
@@ -66,7 +66,6 @@ class TestBitIdentity:
     @pytest.mark.parametrize("method_name", METHOD_NAMES)
     def test_outcome_columns_identical(self, result_pairs, method_name):
         reference, streamed = result_pairs[method_name]
-        assert isinstance(streamed, StreamingSimulationResult)
         ref_table = reference.table
         stream_table = streamed.table  # materializes the spilled blocks
         assert stream_table.machines == ref_table.machines
@@ -120,6 +119,34 @@ class TestBitIdentity:
         assert streamed.jobs_finished_by(horizons) == reference.jobs_finished_by(
             horizons
         )
+
+    def test_budget_query_stops_reading_at_the_cutoff_block(
+        self, result_pairs, trace_path, sim_machines, tmp_path
+    ):
+        """A budget that runs out inside the first block never opens a
+        later segment."""
+        reference, _ = result_pairs[METHOD_NAMES[0]]
+        streamed = MultiClusterSimulator(
+            sim_machines,
+            all_methods()[0],
+            EFTPolicy(),
+            spill_dir=str(tmp_path),
+            spill_block_jobs=SPILL_BLOCK_JOBS,
+        ).run(
+            open_swf_stream(
+                trace_path, sim_machines, seed=SEED, chunk_jobs=CHUNK_JOBS
+            )
+        )
+        first = next(streamed.iter_tables())
+        budget = 0.5 * float(first.cost.sum())
+        segments = sorted(tmp_path.glob("block-*.npz"))
+        assert len(segments) > 2
+        for segment in segments[1:]:
+            segment.unlink()
+        jobs = streamed.jobs_with_budget(budget)
+        assert 0 < jobs < len(first)
+        assert jobs == reference.jobs_with_budget(budget)
+        assert streamed.work_with_budget(budget) == reference.work_with_budget(budget)
 
     @pytest.mark.parametrize("method_name", METHOD_NAMES)
     def test_fleet_report_identical(self, result_pairs, method_name):
@@ -275,15 +302,6 @@ class TestCalendarRefill:
 
 
 class TestEngineGuards:
-    def test_streaming_requires_batched(self, trace_path, sim_machines):
-        method = all_methods()[0]
-        sim = MultiClusterSimulator(
-            sim_machines, method, EFTPolicy(), batched=False
-        )
-        stream = open_swf_stream(trace_path, sim_machines, seed=SEED)
-        with pytest.raises(ValueError, match="batched"):
-            sim.run(stream)
-
     def test_streaming_rejects_prebuilt_quote_table(
         self, trace_path, sim_machines
     ):

@@ -2,7 +2,7 @@
 
 The acceptance bar for the batched/parallel subsystem is *bit-identical*
 results: same outcomes, same order, same floats as the per-record serial
-reference paths.
+reference — the seed-loop port in ``seed_oracle.py``.
 """
 
 import multiprocessing
@@ -32,6 +32,7 @@ from repro.sim.sweep import (
     set_quote_table_capacity,
     sweep_grid,
 )
+from seed_oracle import seed_engine_run
 
 SCALE = 250
 SEED = 5
@@ -79,7 +80,7 @@ def sweep_fns():
 
 
 class TestBatchedEngineExactness:
-    """The vectorized pricing paths against the per-record reference."""
+    """The vectorized pricing paths against the per-record seed loop."""
 
     @pytest.mark.parametrize(
         "method", [EnergyBasedAccounting(), CarbonBasedAccounting()]
@@ -90,9 +91,9 @@ class TestBatchedEngineExactness:
     def test_bit_identical_outcomes(
         self, sim_machines, small_workload, method, policy_cls
     ):
-        reference = MultiClusterSimulator(
-            sim_machines, method, policy_cls(), batched=False
-        ).run(small_workload)
+        reference = seed_engine_run(
+            sim_machines, method, policy_cls(), small_workload
+        )
         batched = MultiClusterSimulator(
             sim_machines, method, policy_cls()
         ).run(small_workload)
@@ -101,9 +102,9 @@ class TestBatchedEngineExactness:
 
     def test_fixed_policy_bit_identical(self, sim_machines, small_workload):
         method = EnergyBasedAccounting()
-        reference = MultiClusterSimulator(
-            sim_machines, method, FixedMachinePolicy("Theta"), batched=False
-        ).run(small_workload)
+        reference = seed_engine_run(
+            sim_machines, method, FixedMachinePolicy("Theta"), small_workload
+        )
         batched = MultiClusterSimulator(
             sim_machines, method, FixedMachinePolicy("Theta")
         ).run(small_workload)

@@ -7,9 +7,8 @@ Everything the tiered scenario pack promises, proven in one place:
 * the straggler model (pure, seed-deterministic, chunk- and
   order-invariant — hypothesis properties over the hash streams);
 * the engine (all five accounting methods over the skewed fleet with
-  stragglers: batched bit-identical to the scalar path and to the
-  per-record seed loop, conservation invariants, slot caps actually
-  enforced *and* binding);
+  stragglers: bit-identical to the per-record seed loop, conservation
+  invariants, slot caps actually enforced *and* binding);
 * the sweep (identical seeds give identical outcomes across a spawn
   process boundary);
 * the fairness report (per-user charge intensity grouped by dominant
@@ -53,7 +52,7 @@ from repro.sim.workload import (
     straggler_factors,
     straggler_mask,
 )
-from test_event_equivalence import assert_results_identical, seed_engine_run
+from seed_oracle import assert_results_identical, seed_engine_run
 
 METHOD_NAMES = tuple(m.name for m in all_methods())
 
@@ -310,31 +309,21 @@ class TestChunkSizeInvariance:
 
 @pytest.fixture(scope="module", params=METHOD_NAMES)
 def method_run(request, tiered_machines, tiered_workload):
-    """(method name, batched result, scalar result) per accounting method."""
+    """(method name, engine result, seed-loop result) per accounting method."""
     method = method_by_name(request.param)
-    policy = LargestFirstPolicy()
-    batched = MultiClusterSimulator(tiered_machines, method, policy).run(
-        tiered_workload
-    )
-    scalar = MultiClusterSimulator(
-        tiered_machines, method, policy, batched=False
+    result = MultiClusterSimulator(
+        tiered_machines, method, LargestFirstPolicy()
     ).run(tiered_workload)
-    return request.param, batched, scalar
+    reference = seed_engine_run(
+        tiered_machines, method, LargestFirstPolicy(), tiered_workload
+    )
+    return request.param, result, reference
 
 
 class TestDifferentialHarness:
-    def test_batched_matches_scalar_and_seed_loop(
-        self, method_run, tiered_machines, tiered_workload
-    ):
-        name, batched, scalar = method_run
-        assert_results_identical(batched, scalar)
-        reference = seed_engine_run(
-            tiered_machines,
-            method_by_name(name),
-            LargestFirstPolicy(),
-            tiered_workload,
-        )
-        assert_results_identical(batched, reference)
+    def test_engine_matches_seed_loop(self, method_run):
+        _, result, reference = method_run
+        assert_results_identical(result, reference)
 
     def test_conservation(self, method_run, tiered_workload):
         _, result, _ = method_run
