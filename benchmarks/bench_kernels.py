@@ -33,7 +33,7 @@ from repro.apps.graph import pagerank
 from repro.hardware.rapl import SimulatedRAPL
 from repro.sim.cluster import ClusterSim
 from repro.sim.engine import MultiClusterSimulator, pricing_for_sim_machine
-from repro.sim.job import Job
+from repro.sim.job import Job, JobBlock
 from repro.sim.migration import MigratingSimulator, RunningTable, _Progress
 from repro.sim.policies import EFTPolicy, GreedyPolicy, LargestFirstPolicy
 from repro.sim.scenarios import (
@@ -181,7 +181,9 @@ def _staged_migration_tick(n_running: int):
     sim = MigratingSimulator(
         machines, CarbonBasedAccounting(), GreedyPolicy(), min_saving=0.95
     )
-    sim._kernel = PricingKernel(jobs, sim.pricings, sim.method)
+    sim._kernel = PricingKernel(
+        JobBlock.from_jobs(jobs, list(sim.pricings)), sim.pricings, sim.method
+    )
     sim._ledger = SegmentLedger(sim.method, sim.pricings)
     sim._owners = []
     sim._quoters = {

@@ -78,7 +78,7 @@ from repro.units import operational_carbon_g
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a sim cycle
     from multiprocessing.shared_memory import SharedMemory
 
-    from repro.sim.job import Job, JobOutcome
+    from repro.sim.job import Job, JobBlock, JobOutcome, Take
 
 #: Column types: FloatArray for priced quantities, IntArray for ids and
 #: codes, AnyArray where one annotation spans mixed-dtype columns.
@@ -469,45 +469,39 @@ def _pack_outcome_columns(
 # ---------------------------------------------------------------------------
 # Quote tables
 # ---------------------------------------------------------------------------
-#: Sentinel in :attr:`QuoteTable.elig_rank` for (job, machine) pairs the
-#: job cannot use.  Any real eligibility rank is strictly smaller, so a
-#: masked argmin over ranks can never pick an ineligible machine.
-ELIG_RANK_INELIGIBLE = np.iinfo(np.int32).max
-
-
 class QuoteTable:
     """The workload-determined half of a pricing kernel.
 
     Everything in here is a pure function of ``(jobs, machine pricings,
-    accounting method)``: the dense job columns, the per-machine
-    runtime/energy tables, and the submission-time quotes.  Nothing is
-    mutated after :meth:`build`, so one table can back any number of
-    simulation runs over the same workload — a policy sweep builds each
-    distinct table once and every run adopts it through
-    :class:`PricingKernel` instead of re-pricing the whole workload.
+    accounting method)``: the jobs' :class:`~repro.sim.job.JobBlock`
+    and the submission-time quotes.  Nothing is mutated after
+    :meth:`build`, so one table can back any number of simulation runs
+    over the same workload — a policy sweep builds each distinct table
+    once and every run adopts it through :class:`PricingKernel` instead
+    of re-pricing the whole workload.
 
-    Exposed views:
+    Exposed views (all columns are views into ``block`` or ``cost``):
 
     * ``static_views`` — per-job ``(machine, runtime, energy, cost)``
       tuples in the job's own eligibility order (what policies consume),
-    * flat per-machine ``runtime`` / ``energy`` arrays keyed by the
-      job's ``row_of`` index (what the outcome post-pass and the
+    * flat per-machine ``runtime`` / ``energy`` / ``cost`` arrays keyed
+      by the job's ``row_of`` index (what the outcome post-pass and the
       migration re-evaluation reuse),
-    * ``elig_rank`` — a dense ``(n_jobs, n_machines)`` int32 array
-      giving each machine's position in the job's own eligibility walk
-      (:attr:`~repro.sim.job.Job.eligible_machines` order;
-      :data:`ELIG_RANK_INELIGIBLE` marks machines the job cannot use).
-      This is what lets a vectorized argmin replay the scalar decision
-      loops' first-strict-improvement tie-breaking exactly: among
-      equal-cost machines the scalar walk keeps the *earliest* one, so
-      a masked argmin over ``elig_rank`` restricted to the cost minima
-      selects the identical winner.
+    * ``elig_rank`` — the block's dense ``(n_jobs, n_machines)`` int32
+      eligibility ranks (:data:`~repro.sim.job.ELIG_RANK_INELIGIBLE`
+      marks machines the job cannot use).  This is what lets a
+      vectorized argmin replay the scalar decision loops'
+      first-strict-improvement tie-breaking exactly: among equal-cost
+      machines the scalar walk keeps the *earliest* one, so a masked
+      argmin over ``elig_rank`` restricted to the cost minima selects
+      the identical winner.
     """
 
     __slots__ = (
         "method_name",
         "machine_names",
         "pricing_fingerprint",
+        "block",
         "row_of",
         "job_id",
         "user",
@@ -531,7 +525,7 @@ class QuoteTable:
         self.runtime: dict[str, FloatArray] = {}
         self.energy: dict[str, FloatArray] = {}
         self.cost: dict[str, FloatArray] = {}
-        self.static_views: list[list[tuple[str, float, float, float]]] = []
+        self.static_views: list[tuple[tuple[str, float, float, float], ...]] = []
         self.elig_rank = np.empty((0, 0), dtype=np.int32)
         #: The shared-memory mapping backing this table's columns when
         #: it came from :meth:`attach`; ``None`` for owned arrays.
@@ -582,92 +576,95 @@ class QuoteTable:
     @classmethod
     def build(
         cls,
-        jobs: Sequence["Job"],
+        block: "JobBlock",
         pricings: Mapping[str, MachinePricing],
         method: AccountingMethod,
     ) -> "QuoteTable":
-        """Price every eligible (job, machine) pair — one ``charge_many``
-        per machine — and pack the workload into dense columns."""
-        table = cls()
-        table.method_name = method.name
+        """Price every eligible (job, machine) pair of ``block`` — one
+        ``charge_many`` per machine — against ``pricings``, whose
+        machines must be the block's, in order."""
         names = list(pricings)
-        table.machine_names = names
-        table.pricing_fingerprint = cls.fingerprint(pricings)
-        name_idx = {name: mi for mi, name in enumerate(names)}
-        n = len(jobs)
-        nan = float("nan")
-        row_of = table.row_of
-        jid_l = [0] * n
-        user_l = [0] * n
-        cores_l = [0] * n
-        submit_l = [0.0] * n
-        work_l = [0.0] * n
-        # Accumulate into Python lists (scalar ndarray stores are an
-        # order of magnitude slower), then convert once per machine.
-        rt_rows = [[nan] * n for _ in names]
-        en_rows = [[nan] * n for _ in names]
-        rank_rows = [[ELIG_RANK_INELIGIBLE] * n for _ in names]
-        for i, job in enumerate(jobs):
-            row_of[job.job_id] = i
-            jid_l[i] = job.job_id
-            user_l[i] = job.user
-            cores_l[i] = job.cores
-            submit_l[i] = job.submit_s
-            work_l[i] = job.work_core_hours
-            energy = job.energy_j
-            for rank, (name, rt) in enumerate(job.runtime_s.items()):
-                mi = name_idx.get(name)
-                if mi is not None:
-                    rt_rows[mi][i] = rt
-                    en_rows[mi][i] = energy[name]
-                    rank_rows[mi][i] = rank
-        table.job_id = np.array(jid_l, dtype=np.int64)
-        table.user = np.array(user_l, dtype=np.int64)
-        cores = np.array(cores_l, dtype=np.int64)
-        submit = np.array(submit_l)
-        table.cores = cores
-        table.submit = submit
-        table.work = np.array(work_l)
-        cost_rows: list[list[float]] = []
+        if list(block.machine_names) != names:
+            raise ValueError(
+                f"job block over machines {list(block.machine_names)} cannot "
+                f"be priced against {names}"
+            )
+        cost = np.full(block.runtime.shape, np.nan)
         for mi, name in enumerate(names):
-            rt = np.array(rt_rows[mi])
-            en = np.array(en_rows[mi])
-            cost = np.full(n, np.nan)
+            rt = block.runtime[mi]
             eligible = ~np.isnan(rt)
-            if eligible.any():
+            if eligible.all():
+                # Column views straight into the block: no copies.
+                batch = UsageBatch(
+                    machine=name,
+                    duration_s=rt,
+                    energy_j=block.energy[mi],
+                    cores=block.cores,
+                    start_time_s=block.submit,
+                )
+                cost[mi] = method.charge_many(batch, pricings[name])
+            elif eligible.any():
                 batch = UsageBatch(
                     machine=name,
                     duration_s=rt[eligible],
-                    energy_j=en[eligible],
-                    cores=cores[eligible],
-                    start_time_s=submit[eligible],
+                    energy_j=block.energy[mi][eligible],
+                    cores=block.cores[eligible],
+                    start_time_s=block.submit[eligible],
                 )
-                cost[eligible] = method.charge_many(batch, pricings[name])
-            table.runtime[name] = rt
-            table.energy[name] = en
-            table.cost[name] = cost
-            cost_rows.append(cost.tolist())
-        table.elig_rank = np.ascontiguousarray(
-            np.array(rank_rows, dtype=np.int32).T
-        )
-        # Per-job (machine, runtime, energy, quoted cost) tuples in the
-        # job's own eligibility order — what the seed `_views` iterated.
-        static_views = table.static_views
-        append_views = static_views.append
-        for i, job in enumerate(jobs):
-            entries = []
-            energy = job.energy_j
-            for name, rt in job.runtime_s.items():
-                mi = name_idx.get(name)
-                if mi is not None:
-                    entries.append((name, rt, energy[name], cost_rows[mi][i]))
-            append_views(entries)
+                cost[mi][eligible] = method.charge_many(batch, pricings[name])
+        table = cls()
+        table.method_name = method.name
+        table.pricing_fingerprint = cls.fingerprint(pricings)
+        table._bind(block, cost)
         return table
+
+    def _bind(self, block: "JobBlock", cost: FloatArray) -> None:
+        """Adopt ``block`` and its ``(n_machines, n_jobs)`` quotes: the
+        column views, ``row_of``, and the per-job ``static_views``
+        (machines in each job's own eligibility order), built column by
+        column rather than job by job."""
+        names = list(block.machine_names)
+        self.block = block
+        self.machine_names = names
+        self.job_id = block.job_id
+        self.user = block.user
+        self.cores = block.cores
+        self.submit = block.submit
+        self.work = block.work
+        self.elig_rank = block.elig_rank
+        self.runtime = dict(zip(names, block.runtime))
+        self.energy = dict(zip(names, block.energy))
+        self.cost = dict(zip(names, cost))
+        ids = block.job_id.tolist()
+        self.row_of = dict(zip(ids, range(len(ids))))
+        runtime, energy = block.floats()
+        quotes = cost.tolist()
+
+        def views(
+            walk: tuple[int, ...], take: "Take"
+        ) -> list[tuple[tuple[str, float, float, float], ...]]:
+            if not walk:
+                return [()] * len(take(ids))
+            return list(
+                zip(
+                    *[
+                        zip(
+                            repeat(names[mi]),
+                            take(runtime[mi]),
+                            take(energy[mi]),
+                            take(quotes[mi]),
+                        )
+                        for mi in walk
+                    ]
+                )
+            )
+
+        self.static_views = block.per_row(views)
 
     # ------------------------------------------------------------------
     def compatible_with(
         self,
-        jobs: Sequence["Job"],
+        block: "JobBlock",
         pricings: Mapping[str, MachinePricing],
         method: AccountingMethod,
     ) -> bool:
@@ -686,12 +683,12 @@ class QuoteTable:
             return False
         if self.pricing_fingerprint != self.fingerprint(pricings):
             return False
-        if len(self.job_id) != len(jobs):
+        if len(self.job_id) != len(block):
             return False
-        if len(jobs):
-            if int(self.job_id[0]) != jobs[0].job_id:
+        if len(block):
+            if int(self.job_id[0]) != int(block.job_id[0]):
                 return False
-            if int(self.job_id[-1]) != jobs[-1].job_id:
+            if int(self.job_id[-1]) != int(block.job_id[-1]):
                 return False
         return True
 
@@ -701,25 +698,24 @@ class QuoteTable:
     @property
     def from_shm(self) -> bool:
         """True for tables whose columns are :meth:`attach` views over a
-        shipped shared-memory block (the sweep reconstructs workloads
-        from such tables instead of regenerating them)."""
+        shipped shared-memory block (the sweep rebuilds workloads from
+        such tables' blocks instead of regenerating them)."""
         return self._shm is not None
 
     def _shm_columns(self) -> list[tuple[str, AnyArray]]:
         """Every numeric column, in the fixed layout order."""
-        cols = [
-            ("job_id", self.job_id),
-            ("user", self.user),
-            ("cores", self.cores),
-            ("submit", self.submit),
-            ("work", self.work),
-            ("elig_rank", self.elig_rank),
+        block = self.block
+        return [
+            ("job_id", block.job_id),
+            ("user", block.user),
+            ("cores", block.cores),
+            ("submit", block.submit),
+            ("work", block.work),
+            ("elig_rank", block.elig_rank),
+            ("runtime", block.runtime),
+            ("energy", block.energy),
+            ("cost", np.array([self.cost[name] for name in self.machine_names])),
         ]
-        for name in self.machine_names:
-            cols.append((f"runtime/{name}", self.runtime[name]))
-            cols.append((f"energy/{name}", self.energy[name]))
-            cols.append((f"cost/{name}", self.cost[name]))
-        return cols
 
     def to_shm(self) -> "QuoteTableShm":
         """Pack every column into one ``multiprocessing.shared_memory``
@@ -777,13 +773,15 @@ class QuoteTable:
 
         The column arrays are read-only views of the shared pages (no
         workload regeneration, no re-pricing); ``row_of`` and the
-        ``static_views`` tuples are reconstructed from the columns.
-        Reconstruction converts the exact stored doubles, so an attached
-        table is value-identical to the one :meth:`to_shm` packed and
-        every simulation it backs is bit-identical.  The returned table
-        holds the mapping open until :meth:`release`.
+        ``static_views`` tuples are rebuilt from the columns by the same
+        builder :meth:`build` uses, so an attached table is
+        value-identical to the one :meth:`to_shm` packed and every
+        simulation it backs is bit-identical.  The returned table holds
+        the mapping open until :meth:`release`.
         """
         from multiprocessing import shared_memory
+
+        from repro.sim.job import JobBlock
 
         shm = shared_memory.SharedMemory(name=descriptor.shm_name)
         try:
@@ -794,24 +792,21 @@ class QuoteTable:
                 )
                 arr.flags.writeable = False
                 arrays[field] = arr
+            block = JobBlock(
+                machine_names=descriptor.machine_names,
+                job_id=arrays["job_id"],
+                user=arrays["user"],
+                cores=arrays["cores"],
+                submit=arrays["submit"],
+                work=arrays["work"],
+                runtime=arrays["runtime"],
+                energy=arrays["energy"],
+                elig_rank=arrays["elig_rank"],
+            )
             table = cls()
             table.method_name = descriptor.method_name
-            table.machine_names = list(descriptor.machine_names)
             table.pricing_fingerprint = descriptor.pricing_fingerprint
-            table.job_id = arrays["job_id"]
-            table.user = arrays["user"]
-            table.cores = arrays["cores"]
-            table.submit = arrays["submit"]
-            table.work = arrays["work"]
-            table.elig_rank = arrays["elig_rank"]
-            for name in table.machine_names:
-                table.runtime[name] = arrays[f"runtime/{name}"]
-                table.energy[name] = arrays[f"energy/{name}"]
-                table.cost[name] = arrays[f"cost/{name}"]
-            table.row_of = {
-                int(jid): i for i, jid in enumerate(table.job_id.tolist())
-            }
-            table._rebuild_static_views()
+            table._bind(block, arrays["cost"])
         except BaseException:
             # A corrupt descriptor (bad layout/offsets) must not leak the
             # mapping.  Half-built views may still pin the buffer, in
@@ -826,42 +821,6 @@ class QuoteTable:
         table._shm = shm
         return table
 
-    def _rebuild_static_views(self) -> None:
-        """Reconstruct the per-job ``(machine, runtime, energy, cost)``
-        tuples from the rank/runtime/energy/cost columns.
-
-        ``elig_rank`` records each machine's position in the job's own
-        eligibility walk, so sorting the eligible machines by rank
-        replays the original ``job.runtime_s`` iteration order; the
-        floats are the exact doubles :meth:`build` packed.
-        """
-        names = self.machine_names
-        runtime = [self.runtime[n] for n in names]
-        energy = [self.energy[n] for n in names]
-        cost = [self.cost[n] for n in names]
-        rank = self.elig_rank
-        n_machines = len(names)
-        views: list[list[tuple[str, float, float, float]]] = []
-        for i in range(len(self.job_id)):
-            row = rank[i]
-            by_rank = sorted(
-                (int(row[mi]), mi)
-                for mi in range(n_machines)
-                if row[mi] != ELIG_RANK_INELIGIBLE
-            )
-            views.append(
-                [
-                    (
-                        names[mi],
-                        float(runtime[mi][i]),
-                        float(energy[mi][i]),
-                        float(cost[mi][i]),
-                    )
-                    for _, mi in by_rank
-                ]
-            )
-        self.static_views = views
-
     def release(self) -> None:
         """Drop the column references and close the shared-memory
         mapping (no-op for tables that own their arrays).
@@ -873,18 +832,11 @@ class QuoteTable:
         shm = self._shm
         if shm is None:
             return
+        from repro.sim.job import JobBlock
+
         self._shm = None
-        self.row_of = {}
-        self.runtime = {}
-        self.energy = {}
-        self.cost = {}
-        self.static_views = []
-        self.elig_rank = np.empty((0, 0), dtype=np.int32)
-        self.job_id = np.empty(0, dtype=np.int64)
-        self.user = np.empty(0, dtype=np.int64)
-        self.cores = np.empty(0, dtype=np.int64)
-        self.submit = np.empty(0)
-        self.work = np.empty(0)
+        empty = JobBlock.from_jobs([], self.machine_names)
+        self._bind(empty, empty.runtime)
         try:
             shm.close()
         except BufferError:  # a caller still holds column views
@@ -1137,7 +1089,7 @@ class PricingKernel:
 
     def __init__(
         self,
-        jobs: Sequence["Job"],
+        block: "JobBlock",
         pricings: Mapping[str, MachinePricing],
         method: AccountingMethod,
         table: QuoteTable | None = None,
@@ -1145,8 +1097,8 @@ class PricingKernel:
         self.method = method
         self.pricings = dict(pricings)
         if table is None:
-            table = QuoteTable.build(jobs, self.pricings, method)
-        elif not table.compatible_with(jobs, self.pricings, method):
+            table = QuoteTable.build(block, self.pricings, method)
+        elif not table.compatible_with(block, self.pricings, method):
             raise ValueError(
                 "prebuilt quote table does not match this run: built for "
                 f"method {table.method_name!r} over machines "
@@ -1338,9 +1290,10 @@ class ShardedPricingKernel:
 
     # ------------------------------------------------------------------
     def load_chunk(
-        self, jobs: Sequence["Job"], table: QuoteTable | None = None
+        self, block: "JobBlock", table: QuoteTable | None = None
     ) -> QuoteTableShard:
-        """Build the next chunk's shard (or adopt a prebuilt ``table``).
+        """Price the next chunk's block into its shard (or adopt a
+        prebuilt ``table``).
 
         Job ids key every lookup, so a :class:`ValueError` naming the id
         rejects a chunk in which an id repeats, or that reuses the id of
@@ -1348,7 +1301,7 @@ class ShardedPricingKernel:
         every finished job before it loads a chunk, so to a run that
         means a job still queued or running.
         """
-        kernel = PricingKernel(jobs, self.pricings, self.method, table=table)
+        kernel = PricingKernel(block, self.pricings, self.method, table=table)
         row_of = kernel.row_of
         if len(row_of) != len(kernel.job_id):
             ids, counts = np.unique(kernel.job_id, return_counts=True)

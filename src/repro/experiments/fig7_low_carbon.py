@@ -24,6 +24,7 @@ from repro.experiments._simulation import (
     workload,
 )
 from repro.sim.engine import pricing_for_sim_machine
+from repro.sim.job import JobBlock
 
 MULTI_POLICIES = ("Greedy", "Energy", "Mixed", "EFT", "Runtime")
 
@@ -66,7 +67,7 @@ def cheapest_endpoint_by_hour(
     wl = workload("low-carbon", scale, seed)
     sample = wl.jobs[:: max(1, len(wl.jobs) // 400)]  # ~400 jobs is plenty
 
-    kernel = PricingKernel(sample, pricings, cba)
+    kernel = PricingKernel(JobBlock.from_jobs(sample, list(pricings)), pricings, cba)
     names = kernel.machine_names
     n = len(sample)
     eligible = {name: ~np.isnan(kernel.runtime[name]) for name in names}

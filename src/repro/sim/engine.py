@@ -44,7 +44,7 @@ test suite is the reference it is checked against.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,10 +59,10 @@ from repro.accounting.pricing import (
 from repro.accounting.spill import OutcomeSpillStore
 from repro.sim.cluster import ClusterSim
 from repro.sim.events import ARRIVAL, EventCalendar
-from repro.sim.job import Job, JobOutcome
+from repro.sim.job import Job, JobBlock, JobOutcome
 from repro.sim.policies import MachineView, Policy
 from repro.sim.scenarios import SimMachine
-from repro.sim.workload import StreamingWorkload, Workload
+from repro.sim.workload import JobChunk, StreamingWorkload, Workload
 
 #: Finished jobs settled (and spilled) per block.
 DEFAULT_SPILL_BLOCK_JOBS = 32_768
@@ -333,6 +333,16 @@ class SimulationResult:
         )
 
 
+def _chunk_columns(
+    chunk: JobChunk, machine_names: Sequence[str]
+) -> tuple[JobBlock, Sequence[Job]]:
+    """A stream chunk as (columns to price, jobs to run): a block
+    assembles its jobs once; a job list is columnized and runs as is."""
+    if isinstance(chunk, JobBlock):
+        return chunk, chunk.jobs()
+    return JobBlock.from_jobs(chunk, machine_names), chunk
+
+
 class MultiClusterSimulator:
     """Simulates one policy over one workload.
 
@@ -417,16 +427,18 @@ class MultiClusterSimulator:
         is O(chunk + in-flight jobs + one block), plus the settled
         blocks when the spill store keeps them in memory.
         """
+        names = list(self.pricings)
+        chunks: Iterator[tuple[JobBlock, Sequence[Job]]]
         if isinstance(workload, StreamingWorkload):
             if self.quote_table is not None:
                 raise ValueError(
                     "a prebuilt quote table cannot back a streaming run; "
                     "shards are built per chunk"
                 )
-            chunks: Iterator[list[Job]] = workload.chunks()
+            chunks = (_chunk_columns(chunk, names) for chunk in workload.chunks())
             source = workload.source
         else:
-            chunks = iter((workload.jobs,))
+            chunks = iter(((workload.block(names), workload.jobs),))
             source = "<memory>"
         clusters = {name: ClusterSim(m) for name, m in self.machines.items()}
         kernel = ShardedPricingKernel(self.pricings, self.method, workload_token=source)
@@ -445,12 +457,12 @@ class MultiClusterSimulator:
             Jobs that have finished are settled first, so the chunk's
             id check sees exactly the jobs still queued or running.
             """
-            for chunk in chunks:
-                if chunk:
+            for block, jobs in chunks:
+                if jobs:
                     if pending:
                         settle_pending()
-                    shard = kernel.load_chunk(chunk, self.quote_table)
-                    calendar.refill(chunk)
+                    shard = kernel.load_chunk(block, self.quote_table)
+                    calendar.refill(jobs)
                     return shard.kernel.static_views, shard.kernel.row_of
             return [], {}
 

@@ -77,7 +77,6 @@ import numpy as np
 from repro.accounting.base import AccountingMethod, UsageBatch, UsageRecord
 from repro.accounting.methods import CarbonBasedAccounting
 from repro.accounting.pricing import (
-    ELIG_RANK_INELIGIBLE,
     PricingKernel,
     QuoteTable,
     SegmentLedger,
@@ -85,7 +84,7 @@ from repro.accounting.pricing import (
 from repro.sim.cluster import ClusterSim
 from repro.sim.engine import SimulationResult, pricing_for_sim_machine
 from repro.sim.events import ARRIVAL, FINISH, EventCalendar
-from repro.sim.job import Job, JobOutcome
+from repro.sim.job import ELIG_RANK_INELIGIBLE, Job, JobOutcome
 from repro.sim.policies import MachineView, Policy
 from repro.sim.scenarios import SimMachine
 from repro.sim.workload import Workload
@@ -544,7 +543,9 @@ class MigratingSimulator:
         kernel: PricingKernel | None = None
         if self.batched:
             kernel = PricingKernel(
-                workload.jobs, self.pricings, self.method,
+                workload.block(list(self.pricings)),
+                self.pricings,
+                self.method,
                 table=self.quote_table,
             )
             self._ledger = SegmentLedger(self.method, self.pricings)

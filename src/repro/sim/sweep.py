@@ -83,7 +83,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from repro.accounting.base import AccountingMethod
 from repro.accounting.methods import method_by_name
 from repro.accounting.pricing import (
-    ELIG_RANK_INELIGIBLE,
     OutcomeTable,
     OutcomeTableShm,
     QuoteTable,
@@ -97,7 +96,6 @@ from repro.sim.engine import (
     SimulationResult,
     pricing_for_sim_machine,
 )
-from repro.sim.job import Job
 from repro.sim.policies import (
     FixedMachinePolicy,
     LargestFirstPolicy,
@@ -279,64 +277,6 @@ def sweep_grid(
         SweepTask(scenario=sc, policy=p, method=m, scale=n, seed=s)
         for sc, m, n, s, p in product(scenarios, methods, scales, seeds, policies)
     ]
-
-
-def _workload_from_quote_table(table: QuoteTable) -> Workload:
-    """Rebuild the job list of a workload from its quote-table columns.
-
-    A spawn-context worker that attached a shipped table has everything
-    the simulation needs already in the columns: per-job ids, users,
-    cores, submit times, the machine-neutral work metric, and the
-    per-machine runtime/energy values in eligibility-rank order.
-    Reconstructing jobs from them skips the whole generator pipeline —
-    the exact stored doubles come back out, and ``elig_rank`` replays
-    each job's original ``runtime_s`` iteration order, so a simulation
-    over the rebuilt workload is bit-identical to one over the
-    generator's output.  (Only machines the table was priced against
-    are restored, which is every machine a sweep scenario exposes.)
-    """
-    names = table.machine_names
-    n_machines = len(names)
-    runtime_cols = [table.runtime[name].tolist() for name in names]
-    energy_cols = [table.energy[name].tolist() for name in names]
-    job_ids = table.job_id.tolist()
-    users = table.user.tolist()
-    cores = table.cores.tolist()
-    submits = table.submit.tolist()
-    works = table.work.tolist()
-    rank = table.elig_rank
-    jobs: list[Job] = []
-    append = jobs.append
-    for i in range(len(job_ids)):
-        row = rank[i]
-        by_rank = sorted(
-            (int(row[mi]), mi)
-            for mi in range(n_machines)
-            if row[mi] != ELIG_RANK_INELIGIBLE
-        )
-        runtime_s = {}
-        energy_j = {}
-        for _, mi in by_rank:
-            name = names[mi]
-            runtime_s[name] = runtime_cols[mi][i]
-            energy_j[name] = energy_cols[mi][i]
-        job = Job(
-            job_id=job_ids[i],
-            user=users[i],
-            cores=cores[i],
-            submit_s=submits[i],
-            runtime_s=runtime_s,
-            energy_j=energy_j,
-        )
-        # Pin the stored work metric rather than letting the lazy
-        # property re-derive it: the stored double IS the original.
-        job._work_core_hours = works[i]
-        append(job)
-    return Workload(
-        jobs=jobs,
-        config=WorkloadConfig(n_base_jobs=max(1, len(jobs))),
-        machines=list(names),
-    )
 
 
 def _stats_delta(before: QuoteTableCacheStats) -> QuoteTableCacheStats:
@@ -567,7 +507,7 @@ class SweepRunner:
         }
         return _QUOTE_TABLES.get_or_build(
             self._quote_table_key(task, machines),
-            lambda: QuoteTable.build(workload.jobs, pricings, method),
+            lambda: QuoteTable.build(workload.block(list(pricings)), pricings, method),
         )
 
     def run_task(self, task: SweepTask) -> SimulationResult:
@@ -626,13 +566,19 @@ class SweepRunner:
                         for name, m in machines.items()
                     }
                     quote_table = QuoteTable.build(
-                        workload.jobs, pricings, method
+                        workload.block(list(pricings)), pricings, method
                     )
                     _QUOTE_TABLES.store(key, quote_table)
             if workload is None and quote_table.from_shm:
                 workload = _ATTACHED_WORKLOADS.get(key)
                 if workload is None:
-                    workload = _workload_from_quote_table(quote_table)
+                    # The attached block holds the exact stored doubles
+                    # and each job's machine order, so these jobs are
+                    # the generator's, bit for bit.
+                    workload = Workload.from_block(
+                        quote_table.block,
+                        WorkloadConfig(n_base_jobs=max(1, len(quote_table))),
+                    )
                     _ATTACHED_WORKLOADS[key] = workload
         if workload is None:
             workload = self.workload_fn(task.scenario, task.scale, task.seed)

@@ -18,32 +18,41 @@ traces and publish its synthetic ones:
 
 SWF fields used (1-based, per the archive spec): 1 job id, 2 submit
 time, 4 run time, 5 allocated processors, 12 user id.  Energy (joules,
-on the reference machine) rides in field 14 ("requested memory"), which
-the archive leaves site-defined; the header records this convention.
+on the reference machine) rides in field 14, which the archive defines
+as the executable (application) number; the header records this
+convention.  (Requested memory is field 10, and is not used.)  Like
+every SWF field, a negative field 14 (the archive writes -1) means
+"missing": the reference machine's energy is then modelled the way every
+other machine's is.  A record whose submit time, run time or energy is
+not a finite number is malformed.
 
 Chunked ingestion and the invariance contract
 ---------------------------------------------
 :func:`iter_swf_job_chunks` stream-parses records into columnar blocks
 (one NumPy array per SWF field per chunk) and extrapolates each block
-with the vectorized KNN — it never materializes the whole trace.  The
-jobs it produces are **chunk-size invariant**: counter features are
-drawn through a :class:`_BlockFeatureSampler` that consumes the
-generator in fixed :data:`FEATURE_BLOCK`-sized draws regardless of how
-ingestion is chunked, and the KNN/extrapolation math is element-wise per
-record.  Record *i* therefore gets the same floats whether the trace is
+with the vectorized KNN into a :class:`~repro.sim.job.JobBlock` — it
+never materializes the whole trace, nor a per-record object.  The jobs
+it produces are **chunk-size invariant**: counter features are drawn
+through a :class:`_BlockFeatureSampler` that consumes the generator in
+fixed :data:`FEATURE_BLOCK`-sized draws regardless of how ingestion is
+chunked, and the KNN/extrapolation math is element-wise per record.  Record *i* therefore gets the same floats whether the trace is
 read in one piece or a thousand — the property test in
 ``tests/sim/test_swf.py`` asserts exact equality.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
+import numpy.typing as npt
 
-from repro.sim.job import Job
+from repro.ml.gmm import GaussianMixture
+from repro.ml.knn import KNNRegressor
+from repro.sim.job import Job, JobBlock
 from repro.sim.scenarios import SimMachine
 from repro.sim.workload import (
     StreamingWorkload,
@@ -52,6 +61,12 @@ from repro.sim.workload import (
     build_cross_platform_knn,
     fit_counter_gmm,
 )
+
+FloatArray = npt.NDArray[np.float64]
+IntArray = npt.NDArray[np.int64]
+
+#: One parsed record: job id, submit, runtime, cores, user, energy.
+Record = tuple[int, float, float, int, int, float]
 
 #: Reference machine whose runtime/energy the SWF carries.
 REFERENCE_MACHINE = "IC"
@@ -95,8 +110,9 @@ def write_swf(workload: Workload, path: str | Path) -> Path:
             runtime = job.runtime_s.get(REFERENCE_MACHINE)
             energy = job.energy_j.get(REFERENCE_MACHINE)
             if runtime is None:
-                # Fall back to the first machine's numbers, flagged by -1 in
-                # the status field (10) so importers can filter.
+                # Fall back to the job's first machine.  Nothing in the
+                # record marks the substitution: status (field 11) is -1
+                # like every other field this writer leaves unset.
                 machine = job.eligible_machines[0]
                 runtime = job.runtime_s[machine]
                 energy = job.energy_j[machine]
@@ -158,29 +174,41 @@ def write_synthetic_swf(
     return path
 
 
-def _parse_records(
-    lines: Iterable[str],
-) -> Iterator[tuple[int, float, float, int, int, float]]:
+def _parse_records(lines: Iterable[str]) -> Iterator[Record]:
     """Lazily parse SWF lines into usable records.
 
     Accepts any iterable of lines (an open file handle streams with O(1)
     memory); comment and blank lines are skipped, cancelled/failed
     records (non-positive runtime or cores) are dropped per SWF
-    practice, and short records raise.
+    practice.  Short, non-numeric and non-finite records raise a
+    ``ValueError`` naming their 1-based line number.
     """
-    for raw in lines:
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith(";"):
             continue
         parts = line.split()
         if len(parts) < 14:
-            raise ValueError(f"malformed SWF record: {line[:60]!r}")
-        job_id = int(parts[0])
-        submit = float(parts[1])
-        runtime = float(parts[3])
-        cores = int(parts[4])
-        user = int(parts[11])
-        energy = float(parts[13])
+            raise ValueError(f"malformed SWF record on line {lineno}: {line[:60]!r}")
+        try:
+            job_id = int(parts[0])
+            submit = float(parts[1])
+            runtime = float(parts[3])
+            cores = int(parts[4])
+            user = int(parts[11])
+            energy = float(parts[13])
+        except ValueError:
+            raise ValueError(
+                f"malformed SWF record on line {lineno}: non-numeric field "
+                f"in {line[:60]!r}"
+            ) from None
+        if not (
+            math.isfinite(submit) and math.isfinite(runtime) and math.isfinite(energy)
+        ):
+            raise ValueError(
+                f"malformed SWF record on line {lineno}: non-finite field "
+                f"in {line[:60]!r}"
+            )
         if runtime <= 0 or cores <= 0:
             continue  # cancelled/failed records, per SWF practice
         yield job_id, submit, runtime, cores, user, energy
@@ -190,12 +218,24 @@ def _parse_records(
 class RecordBlock:
     """One chunk of parsed SWF records as NumPy columns."""
 
-    job_id: np.ndarray
-    submit: np.ndarray
-    runtime: np.ndarray
-    cores: np.ndarray
-    user: np.ndarray
-    energy: np.ndarray
+    job_id: IntArray
+    submit: FloatArray
+    runtime: FloatArray
+    cores: IntArray
+    user: IntArray
+    energy: FloatArray
+
+    @classmethod
+    def pack(cls, records: list[Record]) -> RecordBlock:
+        job_id, submit, runtime, cores, user, energy = zip(*records)
+        return cls(
+            job_id=np.array(job_id, dtype=np.int64),
+            submit=np.array(submit, dtype=np.float64),
+            runtime=np.array(runtime, dtype=np.float64),
+            cores=np.array(cores, dtype=np.int64),
+            user=np.array(user, dtype=np.int64),
+            energy=np.array(energy, dtype=np.float64),
+        )
 
     def __len__(self) -> int:
         return len(self.job_id)
@@ -205,34 +245,14 @@ def _iter_record_blocks(
     lines: Iterable[str], chunk_records: int
 ) -> Iterator[RecordBlock]:
     """Group the lazy record stream into columnar blocks."""
-    jid: list[int] = []
-    submit: list[float] = []
-    runtime: list[float] = []
-    cores: list[int] = []
-    user: list[int] = []
-    energy: list[float] = []
-    columns = (jid, submit, runtime, cores, user, energy)
-
-    def pack() -> RecordBlock:
-        block = RecordBlock(
-            job_id=np.array(jid, dtype=np.int64),
-            submit=np.array(submit, dtype=float),
-            runtime=np.array(runtime, dtype=float),
-            cores=np.array(cores, dtype=np.int64),
-            user=np.array(user, dtype=np.int64),
-            energy=np.array(energy, dtype=float),
-        )
-        for col in columns:
-            col.clear()
-        return block
-
+    records: list[Record] = []
     for record in _parse_records(lines):
-        for col, value in zip(columns, record):
-            col.append(value)
-        if len(jid) >= chunk_records:
-            yield pack()
-    if jid:
-        yield pack()
+        records.append(record)
+        if len(records) >= chunk_records:
+            yield RecordBlock.pack(records)
+            records = []
+    if records:
+        yield RecordBlock.pack(records)
 
 
 class _BlockFeatureSampler:
@@ -244,14 +264,14 @@ class _BlockFeatureSampler:
     ``(seed, i)`` no matter how ingestion slices the trace into chunks.
     """
 
-    def __init__(self, gmm, seed: int) -> None:
+    def __init__(self, gmm: GaussianMixture, seed: int) -> None:
         self._gmm = gmm
         self._rng = np.random.default_rng(seed)
-        self._buf: np.ndarray | None = None
+        self._buf: FloatArray | None = None
         self._pos = 0
 
-    def take(self, n: int) -> np.ndarray:
-        parts: list[np.ndarray] = []
+    def take(self, n: int) -> FloatArray:
+        parts: list[FloatArray] = []
         while n > 0:
             if self._buf is None or self._pos >= len(self._buf):
                 self._buf = self._gmm.sample(FEATURE_BLOCK, rng=self._rng)
@@ -265,63 +285,52 @@ class _BlockFeatureSampler:
         return np.concatenate(parts, axis=0)
 
 
-def _jobs_from_block(
+def _extrapolate(
     block: RecordBlock,
-    feats: np.ndarray,
-    machines: dict[str, SimMachine],
-    knn: dict,
+    feats: FloatArray,
+    machines: Mapping[str, SimMachine],
+    knn: Mapping[str, KNNRegressor],
     ref: str,
-) -> list[Job]:
+) -> JobBlock:
     """Extrapolate one record block across ``machines``.
 
-    Vectorized KNN per machine over the block, then the same per-record
-    assembly as the legacy whole-trace path; every float is element-wise
-    per record, so the output is independent of block boundaries.
+    One KNN call per machine predicts each record's runtime scale and
+    dynamic power there; the formulas are then whole-column NumPy
+    expressions in the same IEEE operation order as the per-record
+    arithmetic they stand for.  A machine's runtime is
+    ``runtime * (scale / max(ref_scale, 1e-9))`` (the reference keeps
+    the trace's), and its energy models power at a nominal 75%
+    utilization, ``cores * (idle + 0.75 * dyn_w) * runtime`` — the
+    trace's energy column covers only the reference.  Every float
+    depends on its own record alone, so the output is independent of
+    block boundaries.
     """
-    preds = {name: knn[name].predict(feats) for name in machines}
-    jobs: list[Job] = []
-    jid = block.job_id
-    submit = block.submit
-    runtime = block.runtime
-    cores = block.cores
-    user = block.user
-    energy = block.energy
-    items = list(machines.items())
-    for i in range(len(block)):
-        job_cores = int(cores[i])
-        job_runtime = float(runtime[i])
-        runtimes: dict[str, float] = {}
-        energies: dict[str, float] = {}
-        ref_scale = float(preds[ref][i][0]) if ref in preds else 1.0
-        for name, machine in items:
-            if job_cores > machine.max_job_cores:
-                continue
-            scale, dyn_w = preds[name][i]
-            rel = float(scale) / max(ref_scale, 1e-9)
-            runtimes[name] = job_runtime * rel
-            if name == ref:
-                runtimes[name] = job_runtime
-                energies[name] = float(energy[i])
-            else:
-                # Model power on the target at a nominal 75% utilization;
-                # the trace's energy column only covers the reference.
-                power = job_cores * (
-                    machine.idle_watts_per_core + 0.75 * float(dyn_w)
-                )
-                energies[name] = power * runtimes[name]
-        if not runtimes:
-            continue
-        jobs.append(
-            Job(
-                job_id=int(jid[i]),
-                user=int(user[i]),
-                cores=job_cores,
-                submit_s=float(submit[i]),
-                runtime_s=runtimes,
-                energy_j=energies,
-            )
-        )
-    return jobs
+    names = list(machines)
+    preds = [knn[name].predict(feats) for name in names]
+    ref_scale = np.maximum(preds[names.index(ref)][:, 0], 1e-9)
+    runtime = np.empty((len(names), len(block)))
+    energy = np.empty_like(runtime)
+    for mi, (name, machine) in enumerate(machines.items()):
+        scale, dyn_w = preds[mi][:, 0], preds[mi][:, 1]
+        rt = block.runtime if name == ref else block.runtime * (scale / ref_scale)
+        runtime[mi] = rt
+        energy[mi] = block.cores * (machine.idle_watts_per_core + 0.75 * dyn_w) * rt
+        if name == ref:
+            # A negative field 14 is "missing": keep the modelled energy.
+            energy[mi] = np.where(block.energy >= 0, block.energy, energy[mi])
+    eligible = np.array(
+        [block.cores <= machine.max_job_cores for machine in machines.values()]
+    ).reshape(len(names), len(block))
+    return JobBlock.from_columns(
+        names,
+        job_id=block.job_id,
+        user=block.user,
+        cores=block.cores,
+        submit=block.submit,
+        runtime=runtime,
+        energy=energy,
+        eligible=eligible,
+    )
 
 
 def iter_swf_job_chunks(
@@ -330,12 +339,12 @@ def iter_swf_job_chunks(
     seed: int = 0,
     chunk_jobs: int = DEFAULT_CHUNK_JOBS,
     require_sorted: bool = False,
-) -> Iterator[list[Job]]:
-    """Stream an SWF trace as chunks of extrapolated jobs.
+) -> Iterator[JobBlock]:
+    """Stream an SWF trace as blocks of extrapolated jobs.
 
     Parses at most ``chunk_jobs`` records at a time, extrapolates each
     block with the §5.2 GMM + cross-platform KNN, and yields the
-    resulting jobs.  Records whose core count exceeds every machine are
+    resulting :class:`~repro.sim.job.JobBlock`.  Records whose core count exceeds every machine are
     dropped (no eligible machine).  Raises ``ValueError`` on an empty
     trace, and — with ``require_sorted`` (the streaming engine's
     contract) — on submit times that go backwards across the trace.
@@ -361,9 +370,8 @@ def iter_swf_job_chunks(
                         f"trace; {path} goes backwards in time"
                     )
                 last_submit = float(block.submit[-1])
-            feats = sampler.take(len(block))
-            jobs = _jobs_from_block(block, feats, machines, knn, ref)
-            if jobs:
+            jobs = _extrapolate(block, sampler.take(len(block)), machines, knn, ref)
+            if len(jobs):
                 yield jobs
     if n_records == 0:
         raise ValueError(f"no usable records in {path}")
@@ -388,10 +396,10 @@ def read_swf(
     sorted ones).
     """
     jobs: list[Job] = []
-    for chunk in iter_swf_job_chunks(
+    for block in iter_swf_job_chunks(
         path, machines, seed=seed, chunk_jobs=chunk_jobs
     ):
-        jobs.extend(chunk)
+        jobs.extend(block.jobs())
     jobs.sort(key=lambda j: j.submit_s)
     return Workload(
         jobs=jobs,
@@ -416,7 +424,7 @@ def open_swf_stream(
     """
     path = Path(path)
 
-    def chunk_factory() -> Iterator[list[Job]]:
+    def chunk_factory() -> Iterator[JobBlock]:
         return iter_swf_job_chunks(
             path,
             machines,

@@ -26,7 +26,7 @@ jobs bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy.typing as npt
 from repro.apps.registry import APP_REGISTRY
 from repro.ml.gmm import GaussianMixture
 from repro.ml.knn import KNNRegressor
-from repro.sim.job import Job
+from repro.sim.job import Job, JobBlock
 from repro.sim.scenarios import PERF_CURVES, SimMachine
 
 
@@ -74,14 +74,37 @@ class WorkloadConfig:
 
 @dataclass
 class Workload:
-    """The generated job list plus provenance."""
+    """The generated job list plus provenance.
+
+    The job list must not change once the workload is built: its
+    columns (:meth:`block`) are derived from it once and kept.
+    """
 
     jobs: list[Job]
     config: WorkloadConfig
     machines: list[str]
+    _block: JobBlock | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_block(cls, block: JobBlock, config: WorkloadConfig) -> Workload:
+        """The workload of ``block``'s jobs, keeping the block as its columns."""
+        workload = cls(
+            jobs=block.jobs(), config=config, machines=list(block.machine_names)
+        )
+        workload._block = block
+        return workload
 
     def __len__(self) -> int:
         return len(self.jobs)
+
+    def block(self, machine_names: Sequence[str]) -> JobBlock:
+        """The jobs as a :class:`~repro.sim.job.JobBlock` over
+        ``machine_names``; the last one asked for is kept, so every run
+        and quote table over the same fleet shares one block."""
+        names = tuple(machine_names)
+        if self._block is None or self._block.machine_names != names:
+            self._block = JobBlock.from_jobs(self.jobs, names)
+        return self._block
 
     @property
     def total_work_core_hours(self) -> float:
@@ -90,6 +113,11 @@ class Workload:
     def frac_requiring_large_machine(self) -> float:
         """Fraction of jobs that cannot run on the 16-core Desktop."""
         return sum(1 for j in self.jobs if j.cores > 16) / max(1, len(self.jobs))
+
+
+#: One chunk of a :class:`StreamingWorkload`: columns straight from a
+#: vectorized producer, or a plain job list.
+JobChunk = Sequence[Job] | JobBlock
 
 
 @dataclass
@@ -107,12 +135,12 @@ class StreamingWorkload:
     """
 
     #: Zero-argument callable returning a fresh chunk iterator.
-    chunk_factory: Callable[[], Iterator[list[Job]]]
+    chunk_factory: Callable[[], Iterator[JobChunk]]
     machines: list[str]
     #: Human-readable provenance (e.g. the trace path).
     source: str = "<stream>"
 
-    def chunks(self) -> Iterator[list[Job]]:
+    def chunks(self) -> Iterator[JobChunk]:
         """A fresh iterator over the job chunks."""
         return self.chunk_factory()
 
@@ -325,9 +353,8 @@ class PatelWorkloadGenerator:
 
         Template selection, template-attribute gathers, and the
         per-(job, machine) runtime/energy model are all flat array
-        expressions; the only per-job Python left is assembling each
-        :class:`~repro.sim.job.Job`'s eligibility dicts from precomputed
-        lists.
+        expressions over one :class:`~repro.sim.job.JobBlock`; the only
+        per-job Python left is :meth:`~repro.sim.job.JobBlock.jobs`.
         """
         cfg = self.config
         rng = np.random.default_rng(cfg.seed + 1)
@@ -360,14 +387,12 @@ class PatelWorkloadGenerator:
         # is what lets energy-aware policies find per-job bargains that
         # performance-aware policies miss (the paper's large policy gaps).
         n_machines = len(machine_names)
-        eligible = [
-            (cores <= self.machines[name].max_job_cores).tolist()
-            for name in machine_names
-        ]
-        users_l = users.tolist()
-        cores_l = cores.tolist()
-        jobs: list[Job] = []
-        job_id = 0
+        eligible = np.array(
+            [cores <= self.machines[name].max_job_cores for name in machine_names]
+        ).reshape(n_machines, n)
+        submits: list[FloatArray] = []
+        runtimes: list[FloatArray] = []
+        energies: list[FloatArray] = []
         for rep in range(cfg.repeat):
             # Each repetition is an independent submission of the same app.
             submit = np.sort(rng.uniform(0, cfg.arrival_window_s, size=n))
@@ -375,43 +400,41 @@ class PatelWorkloadGenerator:
             scale_noise = rng.lognormal(0.0, 0.30, size=(n, n_machines))
             power_noise = rng.lognormal(0.0, 0.20, size=(n, n_machines))
             ic_runtime = base_rt * run_noise
-            rt_cols: list[list[float]] = []
-            en_cols: list[list[float]] = []
+            rt = np.empty((n_machines, n))
+            en = np.empty((n_machines, n))
             for mi, name in enumerate(machine_names):
                 machine = self.machines[name]
                 scale = pred[name][:, 0]
                 dyn_w = pred[name][:, 1]
-                rt = ic_runtime * scale * scale_noise[:, mi]
+                rt[mi] = ic_runtime * scale * scale_noise[:, mi]
                 power_per_core = machine.idle_watts_per_core + np.minimum(
                     utils * dyn_w * power_noise[:, mi],
                     machine.tdp_watts_per_core - machine.idle_watts_per_core,
                 )
-                rt_cols.append(rt.tolist())
-                en_cols.append((power_per_core * cores * rt).tolist())
-            submit_l = submit.tolist()
-            for i in range(n):
-                runtimes: dict[str, float] = {}
-                energies: dict[str, float] = {}
-                for mi, name in enumerate(machine_names):
-                    if eligible[mi][i]:
-                        runtimes[name] = rt_cols[mi][i]
-                        energies[name] = en_cols[mi][i]
-                if not runtimes:
-                    continue
-                jobs.append(
-                    Job(
-                        job_id=job_id,
-                        user=users_l[i],
-                        cores=cores_l[i],
-                        submit_s=submit_l[i],
-                        runtime_s=runtimes,
-                        energy_j=energies,
-                    )
-                )
-                job_id += 1
+                en[mi] = power_per_core * cores * rt[mi]
+            submits.append(submit)
+            runtimes.append(rt)
+            energies.append(en)
 
-        jobs.sort(key=lambda j: j.submit_s)
-        return Workload(jobs=jobs, config=cfg, machines=machine_names)
+        # Ids number the runnable jobs in generation order; the workload
+        # is then in stable submit order.
+        elig = np.tile(eligible, cfg.repeat)
+        runnable = elig.any(axis=0)
+        job_id = np.full(len(runnable), -1, dtype=np.int64)
+        job_id[runnable] = np.arange(int(runnable.sum()), dtype=np.int64)
+        submit_all = np.concatenate(submits)
+        order = np.argsort(submit_all, kind="stable")
+        block = JobBlock.from_columns(
+            machine_names,
+            job_id=job_id[order],
+            user=np.tile(users, cfg.repeat)[order],
+            cores=np.tile(cores, cfg.repeat)[order],
+            submit=submit_all[order],
+            runtime=np.concatenate(runtimes, axis=1)[:, order],
+            energy=np.concatenate(energies, axis=1)[:, order],
+            eligible=elig[:, order],
+        )
+        return Workload.from_block(block, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +587,8 @@ def straggle_stream(
     size — the property the tiered test harness pins.
     """
 
-    def factory() -> Iterator[list[Job]]:
-        return (apply_stragglers(chunk, config) for chunk in stream.chunks())
+    def factory() -> Iterator[JobChunk]:
+        return (apply_stragglers(list(chunk), config) for chunk in stream.chunks())
 
     return StreamingWorkload(
         chunk_factory=factory,

@@ -10,7 +10,6 @@ import pytest
 from repro.accounting.base import MachinePricing, UsageRecord
 from repro.accounting.methods import CarbonBasedAccounting, all_methods
 from repro.accounting.pricing import (
-    ELIG_RANK_INELIGIBLE,
     OutcomeTable,
     PricingKernel,
     QuoteTable,
@@ -20,7 +19,7 @@ from repro.accounting.pricing import (
     SettlementQueue,
 )
 from repro.carbon.intensity import CarbonIntensityTrace
-from repro.sim.job import Job, JobOutcome
+from repro.sim.job import ELIG_RANK_INELIGIBLE, Job, JobBlock, JobOutcome
 from repro.units import operational_carbon_g
 
 
@@ -41,6 +40,11 @@ def make_pricings(rng, n_machines=3):
             intensity=trace,
         )
     return pricings
+
+
+def block(jobs, pricings):
+    """The columns of ``jobs`` over the catalogue's machines."""
+    return JobBlock.from_jobs(jobs, list(pricings))
 
 
 def make_jobs(rng, pricings, n=60):
@@ -69,7 +73,7 @@ class TestPricingKernelQuotes:
         method = all_methods()[method_index]
         pricings = make_pricings(rng)
         jobs = make_jobs(rng, pricings)
-        kernel = PricingKernel(jobs, pricings, method)
+        kernel = PricingKernel(block(jobs, pricings), pricings, method)
         for job in jobs:
             views = kernel.static_views[kernel.row_of[job.job_id]]
             assert [v[0] for v in views] == job.eligible_machines
@@ -89,7 +93,7 @@ class TestPricingKernelQuotes:
         carbon = CarbonBasedAccounting()
         pricings = make_pricings(rng)
         jobs = make_jobs(rng, pricings)
-        kernel = PricingKernel(jobs, pricings, method)
+        kernel = PricingKernel(block(jobs, pricings), pricings, method)
         finished = []
         for job in jobs:
             machine = job.eligible_machines[0]
@@ -132,9 +136,9 @@ class TestQuoteTableSharing:
     @pytest.mark.parametrize("method", all_methods(), ids=lambda m: m.name)
     def test_prebuilt_table_is_bit_identical(self, setup, method):
         jobs, pricings = setup
-        fresh = PricingKernel(jobs, pricings, method)
-        table = QuoteTable.build(jobs, pricings, method)
-        adopted = PricingKernel(jobs, pricings, method, table=table)
+        fresh = PricingKernel(block(jobs, pricings), pricings, method)
+        table = QuoteTable.build(block(jobs, pricings), pricings, method)
+        adopted = PricingKernel(block(jobs, pricings), pricings, method, table=table)
         assert adopted.table is table
         assert adopted.static_views == fresh.static_views
         for name in pricings:
@@ -148,16 +152,16 @@ class TestQuoteTableSharing:
     def test_wrong_method_rejected(self, setup):
         jobs, pricings = setup
         methods = all_methods()
-        table = QuoteTable.build(jobs, pricings, methods[0])
+        table = QuoteTable.build(block(jobs, pricings), pricings, methods[0])
         with pytest.raises(ValueError, match="quote table does not match"):
-            PricingKernel(jobs, pricings, methods[1], table=table)
+            PricingKernel(block(jobs, pricings), pricings, methods[1], table=table)
 
     def test_wrong_workload_rejected(self, setup):
         jobs, pricings = setup
         method = all_methods()[0]
-        table = QuoteTable.build(jobs, pricings, method)
+        table = QuoteTable.build(block(jobs, pricings), pricings, method)
         with pytest.raises(ValueError, match="quote table does not match"):
-            PricingKernel(jobs[:-1], pricings, method, table=table)
+            PricingKernel(block(jobs[:-1], pricings), pricings, method, table=table)
 
     def test_same_names_different_pricing_values_rejected(self, setup):
         """Scenarios share machine names; a table built against another
@@ -166,17 +170,17 @@ class TestQuoteTableSharing:
         method = all_methods()[0]
         other = make_pricings(np.random.default_rng(99))  # same M0..M2 names
         assert list(other) == list(pricings)
-        table = QuoteTable.build(jobs, other, method)
+        table = QuoteTable.build(block(jobs, other), other, method)
         with pytest.raises(ValueError, match="quote table does not match"):
-            PricingKernel(jobs, pricings, method, table=table)
+            PricingKernel(block(jobs, pricings), pricings, method, table=table)
 
     def test_wrong_machine_set_rejected(self, setup):
         jobs, pricings = setup
         method = all_methods()[0]
-        table = QuoteTable.build(jobs, pricings, method)
+        table = QuoteTable.build(block(jobs, pricings), pricings, method)
         fewer = dict(list(pricings.items())[:-1])
         with pytest.raises(ValueError, match="quote table does not match"):
-            PricingKernel(jobs, fewer, method, table=table)
+            PricingKernel(block(jobs, fewer), fewer, method, table=table)
 
     def test_cache_get_or_build_builds_once(self, setup):
         jobs, pricings = setup
@@ -191,7 +195,7 @@ class TestQuoteTableSharing:
 
         def builder():
             builds.append(1)
-            return QuoteTable.build(jobs, pricings, method)
+            return QuoteTable.build(block(jobs, pricings), pricings, method)
 
         first = cache.get_or_build(key, builder)
         second = cache.get_or_build(key, builder)
@@ -215,7 +219,7 @@ class TestQuoteTableSharing:
         own eligibility walk — what the vectorized migration decision
         uses to replay the scalar loop's tie-breaking."""
         jobs, pricings = setup
-        table = QuoteTable.build(jobs, pricings, all_methods()[0])
+        table = QuoteTable.build(block(jobs, pricings), pricings, all_methods()[0])
         assert table.elig_rank.shape == (len(jobs), len(pricings))
         name_idx = {name: mi for mi, name in enumerate(pricings)}
         for job in jobs:
@@ -307,7 +311,7 @@ class TestQuoteTableCacheLRU:
         key = QuoteTableKey(("wl", 60, 0), method.name, tuple(pricings))
         other = QuoteTableKey(("other", 1, 0), method.name, tuple(pricings))
         cache = QuoteTableCache(capacity=1)
-        builder = lambda: QuoteTable.build(jobs, pricings, method)  # noqa: E731
+        builder = lambda: QuoteTable.build(block(jobs, pricings), pricings, method)  # noqa: E731
         first = cache.get_or_build(key, builder)
         cache.store(other, QuoteTable())  # evicts `key`
         assert key not in cache
@@ -334,7 +338,7 @@ class TestQuoteTableShm:
         rng = np.random.default_rng(41)
         pricings = make_pricings(rng)
         jobs = make_jobs(rng, pricings)
-        table = QuoteTable.build(jobs, pricings, all_methods()[0])
+        table = QuoteTable.build(block(jobs, pricings), pricings, all_methods()[0])
         return jobs, pricings, table
 
     def test_round_trip_is_value_identical(self, built):
@@ -388,8 +392,8 @@ class TestQuoteTableShm:
         try:
             clone = QuoteTable.attach(descriptor)
             try:
-                adopted = PricingKernel(jobs, pricings, method, table=clone)
-                fresh = PricingKernel(jobs, pricings, method)
+                adopted = PricingKernel(block(jobs, pricings), pricings, method, table=clone)
+                fresh = PricingKernel(block(jobs, pricings), pricings, method)
                 assert adopted.static_views == fresh.static_views
                 for name in pricings:
                     assert np.array_equal(

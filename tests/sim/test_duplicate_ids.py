@@ -14,7 +14,7 @@ import pytest
 from repro.accounting.methods import EnergyBasedAccounting
 from repro.accounting.pricing import ShardedPricingKernel
 from repro.sim.engine import MultiClusterSimulator, pricing_for_sim_machine
-from repro.sim.job import Job
+from repro.sim.job import Job, JobBlock
 from repro.sim.policies import EFTPolicy
 from repro.sim.swf import open_swf_stream, read_swf, write_synthetic_swf
 from repro.sim.workload import StreamingWorkload
@@ -71,11 +71,15 @@ class TestAcrossChunks:
             energy_j={name: 1e3 for name in machines},
         )
 
+    @staticmethod
+    def block(jobs, machines):
+        return JobBlock.from_jobs(jobs, list(machines))
+
     def test_id_of_a_job_in_flight_is_rejected(self, kernel, sim_machines):
-        kernel.load_chunk([self.job(1, 0.0, sim_machines)])
-        kernel.load_chunk([self.job(2, 1.0, sim_machines)])
+        kernel.load_chunk(self.block([self.job(1, 0.0, sim_machines)], sim_machines))
+        kernel.load_chunk(self.block([self.job(2, 1.0, sim_machines)], sim_machines))
         with pytest.raises(ValueError, match="job id 1 is reused"):
-            kernel.load_chunk([self.job(1, 2.0, sim_machines)])
+            kernel.load_chunk(self.block([self.job(1, 2.0, sim_machines)], sim_machines))
 
     @staticmethod
     def stream(chunks, machines):
@@ -111,9 +115,9 @@ class TestAcrossChunks:
     def test_id_of_a_settled_job_may_be_reused(self, kernel, sim_machines):
         first = self.job(1, 0.0, sim_machines)
         name = next(iter(sim_machines))
-        kernel.load_chunk([first, self.job(2, 0.0, sim_machines)])
+        kernel.load_chunk(self.block([first, self.job(2, 0.0, sim_machines)], sim_machines))
         kernel.price_block([(first, name, 0.0, 60.0)])
         reused = self.job(1, 5.0, sim_machines)
-        kernel.load_chunk([reused])
+        kernel.load_chunk(self.block([reused], sim_machines))
         table = kernel.price_block([(reused, name, 5.0, 65.0)])
         assert table.submit_s.tolist() == [5.0]

@@ -13,7 +13,7 @@ from repro.accounting.methods import (
 from repro.accounting.pricing import QuoteTable
 from repro.carbon.intensity import CarbonIntensityTrace
 from repro.sim.engine import MultiClusterSimulator, pricing_for_sim_machine
-from repro.sim.job import Job
+from repro.sim.job import Job, JobBlock
 from repro.sim.migration import MigratingSimulator
 from repro.sim.policies import FixedMachinePolicy, GreedyPolicy
 from repro.sim.workload import (
@@ -146,7 +146,9 @@ class TestPrebuiltQuoteTable:
             name: pricing_for_sim_machine(m)
             for name, m in low_carbon_machines.items()
         }
-        table = QuoteTable.build(long_job_workload.jobs, pricings, cba)
+        table = QuoteTable.build(
+            JobBlock.from_jobs(long_job_workload.jobs, list(pricings)), pricings, cba
+        )
         fresh = MigratingSimulator(
             low_carbon_machines, cba, GreedyPolicy(), min_saving=0.15
         ).run(long_job_workload)
@@ -168,7 +170,9 @@ class TestPrebuiltQuoteTable:
             for name, m in low_carbon_machines.items()
         }
         table = QuoteTable.build(
-            long_job_workload.jobs[:5], pricings, cba
+            JobBlock.from_jobs(long_job_workload.jobs[:5], list(pricings)),
+            pricings,
+            cba,
         )
         sim = MigratingSimulator(
             low_carbon_machines, cba, GreedyPolicy(), quote_table=table

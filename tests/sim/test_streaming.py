@@ -17,7 +17,7 @@ from repro.accounting.spill import OutcomeSpillStore
 from repro.reporting import fleet_report
 from repro.sim.engine import MultiClusterSimulator
 from repro.sim.events import EventCalendar
-from repro.sim.job import Job
+from repro.sim.job import Job, JobBlock
 from repro.sim.policies import EFTPolicy
 from repro.sim.swf import open_swf_stream, read_swf, write_swf
 from repro.sim.workload import PatelWorkloadGenerator, WorkloadConfig
@@ -310,7 +310,9 @@ class TestEngineGuards:
         pricings = MultiClusterSimulator(
             sim_machines, method, EFTPolicy()
         ).pricings
-        prebuilt = QuoteTable.build(workload.jobs, pricings, method)
+        prebuilt = QuoteTable.build(
+            JobBlock.from_jobs(workload.jobs, list(pricings)), pricings, method
+        )
         sim = MultiClusterSimulator(
             sim_machines, method, EFTPolicy(), quote_table=prebuilt
         )

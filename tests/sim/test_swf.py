@@ -109,13 +109,42 @@ class TestRead:
         path.write_text(
             "1 0 -1 oops 8 -1 -1 -1 -1 -1 -1 3 -1 5000 -1 -1 -1 -1\n"
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="malformed SWF record on line 1: "):
+            read_swf(path, sim_machines)
+
+    @pytest.mark.parametrize("field", [1, 3, 13], ids=["submit", "runtime", "energy"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_field_rejected(self, sim_machines, tmp_path, field, value):
+        """NaN/inf would pass the ``runtime <= 0`` filter and surface as
+        NaN finish times; the parser names the offending line instead."""
+        fields = "7 0 -1 120 4 -1 -1 -1 -1 -1 -1 3 -1 98765 -1 -1 -1 -1".split()
+        fields[field] = value
+        path = tmp_path / "nonfinite.swf"
+        path.write_text(
+            "; header\n"
+            "1 0 -1 100 8 -1 -1 -1 -1 -1 -1 3 -1 5000 -1 -1 -1 -1\n"
+            + " ".join(fields)
+            + "\n"
+        )
+        with pytest.raises(
+            ValueError, match="malformed SWF record on line 3: non-finite"
+        ):
+            read_swf(path, sim_machines)
+
+    def test_short_record_names_its_line(self, sim_machines, tmp_path):
+        path = tmp_path / "short2.swf"
+        path.write_text(
+            "; header\n\n"
+            "1 0 -1 100 8 -1 -1 -1 -1 -1 -1 3 -1 5000 -1 -1 -1 -1\n"
+            "2 5 -1 100\n"
+        )
+        with pytest.raises(ValueError, match="malformed SWF record on line 4: "):
             read_swf(path, sim_machines)
 
 
 class TestEnergyConvention:
-    """Field 14 ("requested memory", site-defined per the archive spec)
-    carries reference-machine energy in joules; the header documents it."""
+    """Field 14 (the executable number in the archive spec) carries
+    reference-machine energy in joules; the header documents it."""
 
     def test_header_documents_field_14(self, tiny_workload, tmp_path):
         assert "field 14 = energy" in HEADER_TEMPLATE
@@ -136,6 +165,35 @@ class TestEnergyConvention:
         assert job.job_id == 7
         assert job.energy_j[REFERENCE_MACHINE] == 98765.0
         assert job.runtime_s[REFERENCE_MACHINE] == 120.0
+
+    def test_missing_energy_is_modelled(self, sim_machines, tmp_path):
+        """-1 is the archive's "missing" value: the reference machine's
+        energy is modelled like every other machine's, never -1 J, and
+        the trace prices and simulates."""
+        from repro.accounting.methods import all_methods
+        from repro.sim.engine import MultiClusterSimulator
+        from repro.sim.policies import GreedyPolicy
+
+        path = tmp_path / "missing.swf"
+        path.write_text(
+            "1 0 -1 120 4 -1 -1 -1 -1 -1 -1 3 -1 -1 -1 -1 -1 -1\n"
+            "2 10 -1 300 8 -1 -1 -1 -1 -1 -1 4 -1 54321 -1 -1 -1 -1\n"
+        )
+        first, second = read_swf(path, sim_machines, seed=1).jobs
+        assert second.energy_j[REFERENCE_MACHINE] == 54321.0
+        ref = sim_machines[REFERENCE_MACHINE]
+        modelled = first.energy_j[REFERENCE_MACHINE]
+        assert modelled > 0
+        # cores * (idle + 0.75 * dyn_w) * runtime, with dyn_w in the
+        # reference's own predicted range.
+        dyn_w = (modelled / (4 * 120.0) - ref.idle_watts_per_core) / 0.75
+        assert 0 < dyn_w < ref.tdp_watts_per_core
+        wl = read_swf(path, sim_machines, seed=1)
+        for method in all_methods():
+            result = MultiClusterSimulator(
+                sim_machines, method, GreedyPolicy()
+            ).run(wl)
+            assert result.n_jobs == 2
 
 
 class TestChunkInvariance:
