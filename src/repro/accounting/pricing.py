@@ -13,7 +13,8 @@ The quote-table / settle contract
 Everything here follows one contract with two halves:
 
 * **Quote tables** are built *up front*, before any event loop runs.
-  :class:`PricingKernel` takes the full job list and prices every
+  :class:`PricingKernel` takes the jobs as a
+  :class:`~repro.sim.job.JobBlock` and prices every
   (job, eligible machine) pair with one
   :meth:`~repro.accounting.base.AccountingMethod.charge_many` call per
   machine.  This is legal because submission-time quotes depend only on

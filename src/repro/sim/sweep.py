@@ -18,9 +18,10 @@ regenerating (or unpickling) it.  Non-fork pools (``mp_context=
 so with the kernel cache on the runner *ships* each warmed quote table
 to workers as a :mod:`multiprocessing.shared_memory` block: a worker
 attaches zero-copy column views (one attach per (worker, table),
-counted in the ``shm_attached`` cache statistic) and reconstructs the
-workload's job list bit-identically from the table's own columns —
-no workload regeneration, no re-pricing.  Only with the kernel cache
+counted in the ``shm_attached`` cache statistic) and assembles the
+workload's jobs bit-identically from the table's own
+:class:`~repro.sim.job.JobBlock` — no workload regeneration, no
+re-pricing.  Only with the kernel cache
 *off* do non-fork workers fall back to regenerating through the
 memoized functions.
 
@@ -519,8 +520,8 @@ class SweepRunner:
         shipped shared-memory block (non-fork workers; counted in
         ``shm_attached``) or by building from the generated workload.
         A worker holding an attached table also skips workload
-        generation entirely: the job list is reconstructed once per
-        (worker, table) from the table's own columns, bit-identically.
+        generation entirely: the jobs are assembled once per (worker,
+        table) from the table's own block, bit-identically.
         """
         machines = dict(self.scenario_fn(task.scenario, task.seed))
         policy = policy_by_name(task.policy)

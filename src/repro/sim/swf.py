@@ -107,22 +107,21 @@ def write_swf(workload: Workload, path: str | Path) -> Path:
             )
         )
         for job in workload.jobs:
-            runtime = job.runtime_s.get(REFERENCE_MACHINE)
-            energy = job.energy_j.get(REFERENCE_MACHINE)
-            if runtime is None:
-                # Fall back to the job's first machine.  Nothing in the
-                # record marks the substitution: status (field 11) is -1
-                # like every other field this writer leaves unset.
-                machine = job.eligible_machines[0]
-                runtime = job.runtime_s[machine]
-                energy = job.energy_j[machine]
+            # A job the reference cannot run falls back to its first
+            # machine.  Nothing in the record marks the substitution:
+            # status (field 11) is -1 like every other field left unset.
+            machine = (
+                REFERENCE_MACHINE
+                if REFERENCE_MACHINE in job.runtime_s
+                else job.eligible_machines[0]
+            )
             fields = [-1] * 18
             fields[0] = job.job_id
             fields[1] = int(round(job.submit_s))
-            fields[3] = int(round(runtime))
+            fields[3] = int(round(job.runtime_s[machine]))
             fields[4] = job.cores
             fields[11] = job.user
-            fields[13] = int(round(energy))
+            fields[13] = int(round(job.energy_j[machine]))
             fh.write(" ".join(str(f) for f in fields) + "\n")
     return path
 

@@ -40,6 +40,8 @@ FOUNDING_MODULES: frozenset[str] = frozenset(
         "src/repro/accounting/spill.py",
         "src/repro/accounting/pricing.py",
         "src/repro/sim/events.py",
+        "src/repro/sim/job.py",
+        "src/repro/sim/swf.py",
         "src/repro/sim/workload.py",
         "src/repro/sim/metrics.py",
         "src/repro/sim/result_store.py",
