@@ -65,9 +65,6 @@ from repro.sim.workload import (
 FloatArray = npt.NDArray[np.float64]
 IntArray = npt.NDArray[np.int64]
 
-#: One parsed record: job id, submit, runtime, cores, user, energy.
-Record = tuple[int, float, float, int, int, float]
-
 #: Reference machine whose runtime/energy the SWF carries.
 REFERENCE_MACHINE = "IC"
 
@@ -173,46 +170,6 @@ def write_synthetic_swf(
     return path
 
 
-def _parse_records(lines: Iterable[str]) -> Iterator[Record]:
-    """Lazily parse SWF lines into usable records.
-
-    Accepts any iterable of lines (an open file handle streams with O(1)
-    memory); comment and blank lines are skipped, cancelled/failed
-    records (non-positive runtime or cores) are dropped per SWF
-    practice.  Short, non-numeric and non-finite records raise a
-    ``ValueError`` naming their 1-based line number.
-    """
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith(";"):
-            continue
-        parts = line.split()
-        if len(parts) < 14:
-            raise ValueError(f"malformed SWF record on line {lineno}: {line[:60]!r}")
-        try:
-            job_id = int(parts[0])
-            submit = float(parts[1])
-            runtime = float(parts[3])
-            cores = int(parts[4])
-            user = int(parts[11])
-            energy = float(parts[13])
-        except ValueError:
-            raise ValueError(
-                f"malformed SWF record on line {lineno}: non-numeric field "
-                f"in {line[:60]!r}"
-            ) from None
-        if not (
-            math.isfinite(submit) and math.isfinite(runtime) and math.isfinite(energy)
-        ):
-            raise ValueError(
-                f"malformed SWF record on line {lineno}: non-finite field "
-                f"in {line[:60]!r}"
-            )
-        if runtime <= 0 or cores <= 0:
-            continue  # cancelled/failed records, per SWF practice
-        yield job_id, submit, runtime, cores, user, energy
-
-
 @dataclass
 class RecordBlock:
     """One chunk of parsed SWF records as NumPy columns."""
@@ -224,18 +181,6 @@ class RecordBlock:
     user: IntArray
     energy: FloatArray
 
-    @classmethod
-    def pack(cls, records: list[Record]) -> RecordBlock:
-        job_id, submit, runtime, cores, user, energy = zip(*records)
-        return cls(
-            job_id=np.array(job_id, dtype=np.int64),
-            submit=np.array(submit, dtype=np.float64),
-            runtime=np.array(runtime, dtype=np.float64),
-            cores=np.array(cores, dtype=np.int64),
-            user=np.array(user, dtype=np.int64),
-            energy=np.array(energy, dtype=np.float64),
-        )
-
     def __len__(self) -> int:
         return len(self.job_id)
 
@@ -243,15 +188,74 @@ class RecordBlock:
 def _iter_record_blocks(
     lines: Iterable[str], chunk_records: int
 ) -> Iterator[RecordBlock]:
-    """Group the lazy record stream into columnar blocks."""
-    records: list[Record] = []
-    for record in _parse_records(lines):
-        records.append(record)
-        if len(records) >= chunk_records:
-            yield RecordBlock.pack(records)
-            records = []
-    if records:
-        yield RecordBlock.pack(records)
+    """Parse SWF lines into blocks of ``chunk_records`` usable records.
+
+    Accepts any iterable of lines (an open file handle streams with O(1)
+    memory); comment and blank lines are skipped, cancelled/failed
+    records (non-positive runtime or cores) are dropped per SWF
+    practice.  Short, non-numeric and non-finite records raise a
+    ``ValueError`` naming their 1-based line number.
+    """
+    jid: list[int] = []
+    submit_l: list[float] = []
+    runtime_l: list[float] = []
+    cores_l: list[int] = []
+    user_l: list[int] = []
+    energy_l: list[float] = []
+    columns = (jid, submit_l, runtime_l, cores_l, user_l, energy_l)
+
+    def pack() -> RecordBlock:
+        block = RecordBlock(
+            job_id=np.array(jid, dtype=np.int64),
+            submit=np.array(submit_l, dtype=np.float64),
+            runtime=np.array(runtime_l, dtype=np.float64),
+            cores=np.array(cores_l, dtype=np.int64),
+            user=np.array(user_l, dtype=np.int64),
+            energy=np.array(energy_l, dtype=np.float64),
+        )
+        for column in columns:
+            column.clear()
+        return block
+
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith(";"):
+            continue
+        if len(parts) < 14:
+            raise ValueError(
+                f"malformed SWF record on line {lineno}: {raw.strip()[:60]!r}"
+            )
+        try:
+            job_id = int(parts[0])
+            submit = float(parts[1])
+            runtime = float(parts[3])
+            cores = int(parts[4])
+            user = int(parts[11])
+            energy = float(parts[13])
+        except ValueError:
+            raise ValueError(
+                f"malformed SWF record on line {lineno}: non-numeric field "
+                f"in {raw.strip()[:60]!r}"
+            ) from None
+        if not (
+            math.isfinite(submit) and math.isfinite(runtime) and math.isfinite(energy)
+        ):
+            raise ValueError(
+                f"malformed SWF record on line {lineno}: non-finite field "
+                f"in {raw.strip()[:60]!r}"
+            )
+        if runtime <= 0 or cores <= 0:
+            continue  # cancelled/failed records, per SWF practice
+        jid.append(job_id)
+        submit_l.append(submit)
+        runtime_l.append(runtime)
+        cores_l.append(cores)
+        user_l.append(user)
+        energy_l.append(energy)
+        if len(jid) >= chunk_records:
+            yield pack()
+    if jid:
+        yield pack()
 
 
 class _BlockFeatureSampler:
