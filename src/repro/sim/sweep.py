@@ -412,7 +412,7 @@ class SweepRunner:
         :mod:`multiprocessing.shared_memory` block: workers attach
         zero-copy views (counted in
         :attr:`~repro.accounting.pricing.QuoteTableCacheStats.shm_attached`)
-        and reconstruct the workload's job list from the table columns
+        and assemble the workload's jobs from the table's block
         instead of regenerating it.
     """
 
