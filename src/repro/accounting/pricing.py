@@ -592,27 +592,22 @@ class QuoteTable:
             )
         cost = np.full(block.runtime.shape, np.nan)
         for mi, name in enumerate(names):
-            rt = block.runtime[mi]
-            eligible = ~np.isnan(rt)
-            if eligible.all():
-                # Column views straight into the block: no copies.
-                batch = UsageBatch(
-                    machine=name,
-                    duration_s=rt,
-                    energy_j=block.energy[mi],
-                    cores=block.cores,
-                    start_time_s=block.submit,
-                )
-                cost[mi] = method.charge_many(batch, pricings[name])
-            elif eligible.any():
-                batch = UsageBatch(
-                    machine=name,
-                    duration_s=rt[eligible],
-                    energy_j=block.energy[mi][eligible],
-                    cores=block.cores[eligible],
-                    start_time_s=block.submit[eligible],
-                )
-                cost[mi][eligible] = method.charge_many(batch, pricings[name])
+            eligible = ~np.isnan(block.runtime[mi])
+            if not eligible.any():
+                continue
+            # Where every job is eligible, a basic slice keeps the batch
+            # as views straight into the block's columns: no copies.
+            rows: slice | npt.NDArray[np.bool_] = (
+                slice(None) if eligible.all() else eligible
+            )
+            batch = UsageBatch(
+                machine=name,
+                duration_s=block.runtime[mi][rows],
+                energy_j=block.energy[mi][rows],
+                cores=block.cores[rows],
+                start_time_s=block.submit[rows],
+            )
+            cost[mi][rows] = method.charge_many(batch, pricings[name])
         table = cls()
         table.method_name = method.name
         table.pricing_fingerprint = cls.fingerprint(pricings)
@@ -646,19 +641,16 @@ class QuoteTable:
         ) -> list[tuple[tuple[str, float, float, float], ...]]:
             if not walk:
                 return [()] * len(take(ids))
-            return list(
+            per_machine = [
                 zip(
-                    *[
-                        zip(
-                            repeat(names[mi]),
-                            take(runtime[mi]),
-                            take(energy[mi]),
-                            take(quotes[mi]),
-                        )
-                        for mi in walk
-                    ]
+                    repeat(names[mi]),
+                    take(runtime[mi]),
+                    take(energy[mi]),
+                    take(quotes[mi]),
                 )
-            )
+                for mi in walk
+            ]
+            return list(zip(*per_machine))
 
         self.static_views = block.per_row(views)
 

@@ -35,8 +35,9 @@ never materializes the whole trace, nor a per-record object.  The jobs
 it produces are **chunk-size invariant**: counter features are drawn
 through a :class:`_BlockFeatureSampler` that consumes the generator in
 fixed :data:`FEATURE_BLOCK`-sized draws regardless of how ingestion is
-chunked, and the KNN/extrapolation math is element-wise per record.  Record *i* therefore gets the same floats whether the trace is
-read in one piece or a thousand — the property test in
+chunked, and the KNN/extrapolation math is element-wise per record.
+Record *i* therefore gets the same floats whether the trace is read in
+one piece or a thousand — the property test in
 ``tests/sim/test_swf.py`` asserts exact equality.
 """
 
@@ -347,10 +348,11 @@ def iter_swf_job_chunks(
 
     Parses at most ``chunk_jobs`` records at a time, extrapolates each
     block with the §5.2 GMM + cross-platform KNN, and yields the
-    resulting :class:`~repro.sim.job.JobBlock`.  Records whose core count exceeds every machine are
-    dropped (no eligible machine).  Raises ``ValueError`` on an empty
-    trace, and — with ``require_sorted`` (the streaming engine's
-    contract) — on submit times that go backwards across the trace.
+    resulting :class:`~repro.sim.job.JobBlock`.  Records whose core
+    count exceeds every machine are dropped (no eligible machine).
+    Raises ``ValueError`` on an empty trace, and — with
+    ``require_sorted`` (the streaming engine's contract) — on submit
+    times that go backwards across the trace.
     """
     if chunk_jobs < 1:
         raise ValueError("chunk_jobs must be >= 1")

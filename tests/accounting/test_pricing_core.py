@@ -311,7 +311,9 @@ class TestQuoteTableCacheLRU:
         key = QuoteTableKey(("wl", 60, 0), method.name, tuple(pricings))
         other = QuoteTableKey(("other", 1, 0), method.name, tuple(pricings))
         cache = QuoteTableCache(capacity=1)
-        builder = lambda: QuoteTable.build(block(jobs, pricings), pricings, method)  # noqa: E731
+        builder = lambda: QuoteTable.build(  # noqa: E731
+            block(jobs, pricings), pricings, method
+        )
         first = cache.get_or_build(key, builder)
         cache.store(other, QuoteTable())  # evicts `key`
         assert key not in cache
@@ -392,7 +394,9 @@ class TestQuoteTableShm:
         try:
             clone = QuoteTable.attach(descriptor)
             try:
-                adopted = PricingKernel(block(jobs, pricings), pricings, method, table=clone)
+                adopted = PricingKernel(
+                    block(jobs, pricings), pricings, method, table=clone
+                )
                 fresh = PricingKernel(block(jobs, pricings), pricings, method)
                 assert adopted.static_views == fresh.static_views
                 for name in pricings:

@@ -79,7 +79,9 @@ class TestAcrossChunks:
         kernel.load_chunk(self.block([self.job(1, 0.0, sim_machines)], sim_machines))
         kernel.load_chunk(self.block([self.job(2, 1.0, sim_machines)], sim_machines))
         with pytest.raises(ValueError, match="job id 1 is reused"):
-            kernel.load_chunk(self.block([self.job(1, 2.0, sim_machines)], sim_machines))
+            kernel.load_chunk(
+                self.block([self.job(1, 2.0, sim_machines)], sim_machines)
+            )
 
     @staticmethod
     def stream(chunks, machines):
@@ -115,7 +117,9 @@ class TestAcrossChunks:
     def test_id_of_a_settled_job_may_be_reused(self, kernel, sim_machines):
         first = self.job(1, 0.0, sim_machines)
         name = next(iter(sim_machines))
-        kernel.load_chunk(self.block([first, self.job(2, 0.0, sim_machines)], sim_machines))
+        kernel.load_chunk(
+            self.block([first, self.job(2, 0.0, sim_machines)], sim_machines)
+        )
         kernel.price_block([(first, name, 0.0, 60.0)])
         reused = self.job(1, 5.0, sim_machines)
         kernel.load_chunk(self.block([reused], sim_machines))
