@@ -9,7 +9,13 @@ promise into a test.  It pins SHA-256 digests of
   five accounting methods on ``baseline``, and under CBA on
   ``low-carbon``;
 * the rendered text of Figs. 5, 6 and 7, Table 6 and the tiered-fleet
-  study at the same scale.
+  study at the same scale;
+* the §7 extensions on a 300-base-job, long-job ``low_carbon_scenario``
+  workload: ``MigratingSimulator`` (Greedy, ``min_saving=0.15``) under
+  all five methods — once at the default re-evaluation crossover and
+  once with the columnar re-evaluation forced on every tick, both
+  against the same digest — and one ``ShiftingSimulator`` run (CBA,
+  ``max_delay_h=12``).
 
 A digest may only change with a deliberate change to the simulated
 model.  Print fresh values with::
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -36,8 +43,12 @@ from repro.experiments import (
 )
 from repro.experiments._simulation import scenario, workload
 from repro.sim.engine import SimulationResult
-from repro.sim.policies import standard_policies
+from repro.sim.migration import MigratingSimulator
+from repro.sim.policies import GreedyPolicy, standard_policies
+from repro.sim.scenarios import low_carbon_scenario
+from repro.sim.shifting import ShiftingSimulator
 from repro.sim.sweep import SweepRunner, SweepTask
+from repro.sim.workload import PatelWorkloadGenerator, WorkloadConfig
 
 SCALE = 300
 SEED = 0
@@ -113,6 +124,18 @@ GOLDEN_REPORTS: dict[str, str] = {
     "tiers": "4f1602da7528e71760592a308ec6147b089e4f36a9d0cc4bc31d5d34eff4d341",
 }
 
+#: Migration runs by method; the default and the forced-columnar
+#: re-evaluation regimes must both reproduce the same digest.
+GOLDEN_MIGRATION: dict[str, str] = {
+    "Runtime": "6d1e28e0d71388e454e42b47b903013608637e43aa3cbb774779d8d9af8914ff",
+    "Energy": "6eb8b94aaa46e56e4b7263f70b08d0252f161c535943ad226a7c759015dc7ca9",
+    "Peak": "d97ccc385f2fa6949312fdb6477d967849155bb4b39a33ce046ed0611d4b9d1b",
+    "EBA": "55a459f5bbee6c31947a0a70f3d049ea39864912c5f6ed7280e7f1b237a18607",
+    "CBA": "f48ce1098cdc77c7ef075de0feaa6741ca250dd0018b15ef2b8c72b0aeb1cb1f",
+}
+
+GOLDEN_SHIFTING = "05e9b6cea3f0d7f074980b202f5180953fe1637d8531f040f091982f12e7d806"
+
 
 def policy_sweep(scenario_name: str, method_name: str) -> dict[str, SimulationResult]:
     """``policy_sweep(scenario_name, method_name, SCALE, SEED)`` for any of
@@ -150,6 +173,39 @@ def result_digest(result: SimulationResult) -> str:
     return top.hexdigest()
 
 
+@lru_cache(maxsize=1)
+def extension_world():
+    """(machines, workload) the migration and shifting pins run on."""
+    machines = low_carbon_scenario(days=30, seed=SEED)
+    cfg = WorkloadConfig(
+        n_base_jobs=SCALE, n_users=40, seed=SEED, runtime_median_s=4 * 3600.0
+    )
+    return machines, PatelWorkloadGenerator(machines, cfg).generate()
+
+
+def migration_digest(method_name: str, columnar: bool = False) -> str:
+    machines, wl = extension_world()
+    sim = MigratingSimulator(
+        machines, method_by_name(method_name), GreedyPolicy(), min_saving=0.15
+    )
+    if columnar:
+        sim.tick_vector_min = 0
+        sim.probe_vector_min = 0
+    digest = result_digest(sim.run(wl))
+    # A forced run that never takes the multi-tick pass pins nothing
+    # about it.
+    assert (sim.multi_tick_batches > 0) == columnar
+    return digest
+
+
+def shifting_digest() -> str:
+    machines, wl = extension_world()
+    sim = ShiftingSimulator(
+        machines, method_by_name("CBA"), GreedyPolicy(), max_delay_h=12
+    )
+    return result_digest(sim.run(wl))
+
+
 def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -176,6 +232,16 @@ def test_report_text_matches_golden(name):
     assert text_digest(REPORTS[name]()) == GOLDEN_REPORTS[name]
 
 
+@pytest.mark.parametrize("columnar", [False, True], ids=["default", "columnar"])
+@pytest.mark.parametrize("method_name", sorted(GOLDEN_MIGRATION))
+def test_migration_matches_golden(method_name, columnar):
+    assert migration_digest(method_name, columnar) == GOLDEN_MIGRATION[method_name]
+
+
+def test_shifting_matches_golden():
+    assert shifting_digest() == GOLDEN_SHIFTING
+
+
 if __name__ == "__main__":  # pragma: no cover - regeneration helper
     cells: dict[str, str] = {}
     for grid in GRIDS:
@@ -183,3 +249,6 @@ if __name__ == "__main__":  # pragma: no cover - regeneration helper
     print("GOLDEN_CELLS = " + json.dumps(cells, indent=4))
     reports = {name: text_digest(REPORTS[name]()) for name in sorted(REPORTS)}
     print("GOLDEN_REPORTS = " + json.dumps(reports, indent=4))
+    migration = {m.name: migration_digest(m.name) for m in all_methods()}
+    print("GOLDEN_MIGRATION = " + json.dumps(migration, indent=4))
+    print(f"GOLDEN_SHIFTING = {shifting_digest()!r}")
