@@ -151,8 +151,8 @@ def test_migration_throughput_1k_jobs(run_once, benchmark):
 
 def _staged_migration_tick(n_running: int):
     """A migration simulator frozen mid-run with ``n_running`` narrow
-    jobs running across the wide machines — the deep-concurrency state
-    the columnar re-evaluation tick is built for.
+    jobs running across the wide machines — at 512, the deep-concurrency
+    state the columnar re-evaluation pass is built for.
 
     ``min_saving=0.95`` keeps every re-evaluation decision a no-move, so
     the staged state is reusable across benchmark rounds.
@@ -218,16 +218,28 @@ def _staged_migration_tick(n_running: int):
 
 
 def test_migration_reeval_tick(benchmark):
-    """The columnar re-evaluation tick over 512 running jobs: one
-    vectorized candidate pass over the :class:`RunningTable`, one
-    ``charge_many`` per machine for all stay/move probes, and one
+    """The columnar re-evaluation pass for one tick over 512 running
+    jobs: one vectorized candidate pass over the :class:`RunningTable`,
+    one ``charge_many`` per machine for all stay/move probes, and one
     masked-argmin decision pass over the probe matrix (reference: a
     Python walk over every running dict, a scalar probe per
     (job, machine) pair, and a per-candidate decision loop)."""
-    sim, clusters, progress = _staged_migration_tick(512)
+    sim, clusters, _ = _staged_migration_tick(512)
+    moved, consumed = benchmark(sim._reevaluate_columnar, clusters, {}, [1800.0])
+    assert moved is False  # min_saving=0.95: probes run, nothing moves
+    assert consumed == 1800.0
+    assert len(sim._running) == 512
+
+
+def test_migration_reeval_tick_small(benchmark):
+    """A re-evaluation tick over 24 running jobs — below
+    ``VECTOR_MIN``, the side of the crossover that almost every tick of
+    a real migration run takes: the running-dict walk, scalar
+    ``probe_kernel`` quotes, and the per-candidate decision loop."""
+    sim, clusters, progress = _staged_migration_tick(24)
     moved = benchmark(sim._reevaluate, clusters, progress, {}, 1800.0)
     assert moved is False  # min_saving=0.95: probes run, nothing moves
-    assert len(sim._running) == 512
+    assert len(sim._running) == 24
 
 
 def test_migration_reeval_multi_tick(benchmark):
@@ -236,9 +248,9 @@ def test_migration_reeval_multi_tick(benchmark):
     event calendar's ``next_disturbance`` horizon licenses when no
     arrival or finish falls between consecutive ticks (reference: 16
     sequential :func:`test_migration_reeval_tick` passes)."""
-    sim, clusters, progress = _staged_migration_tick(512)
+    sim, clusters, _ = _staged_migration_tick(512)
     ticks = [1800.0 * (k + 1) for k in range(16)]
-    moved, consumed = benchmark(sim._reevaluate_multi, clusters, {}, ticks)
+    moved, consumed = benchmark(sim._reevaluate_columnar, clusters, {}, ticks)
     assert moved is False  # min_saving=0.95: state untouched, reusable
     assert consumed == ticks[-1]  # no mover: the whole run was consumed
     assert sim.multi_tick_batches > 0

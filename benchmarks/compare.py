@@ -72,6 +72,7 @@ REQUIRED_BENCHMARKS = (
     "test_event_loop_throughput",
     "test_migration_throughput_1k_jobs",
     "test_migration_reeval_tick",
+    "test_migration_reeval_tick_small",
     "test_migration_reeval_multi_tick",
     "test_migration_segment_settle_10k",
     "test_faas_settlement_5k_records",

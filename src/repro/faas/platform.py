@@ -9,13 +9,13 @@ energy, and finally debits the *measured* charge from the allocation.
 Deferred settlement
 -------------------
 :meth:`GreenAccess.submit` prices and debits each invocation on the
-spot — the reference path.  The batched path
-(:meth:`GreenAccess.submit_deferred` + :meth:`GreenAccess.settle`)
-instead queues the monitor-attributed usage record in a per-user
-:class:`~repro.accounting.pricing.SettlementQueue` and prices the whole
+spot.  :meth:`GreenAccess.submit_deferred` + :meth:`GreenAccess.settle`
+instead queue the monitor-attributed usage record in a per-user
+:class:`~repro.accounting.pricing.SettlementQueue` and price the whole
 queue later with one ``charge_many`` call per machine; debits replay in
 submission order, so settled charges, balances, and transactions are
-**bit-identical** to debiting immediately.
+**bit-identical** to submitting every invocation through ``submit``
+(the test suite runs both on twin platforms and compares).
 
 Admission control stays *exact* under deferral: every queued record
 carries a sound upper bound on its eventual charge, so a submission is
@@ -115,12 +115,6 @@ class GreenAccess:
         measured energy; when False (default) submissions replay the
         calibrated profiles — deterministic, and what the paper's cost
         tables are computed from.
-    batched:
-        Enable the deferred-settlement ledger behind
-        :meth:`submit_deferred` / :meth:`settle` (default).  ``False``
-        makes :meth:`submit_deferred` fall through to the immediate
-        :meth:`submit` path — the per-record reference the test suite
-        compares against; results are bit-identical either way.
     """
 
     def __init__(
@@ -129,7 +123,6 @@ class GreenAccess:
         unit: str = "J",
         real_execution: bool = False,
         seed: int | None = 0,
-        batched: bool = True,
     ) -> None:
         self.method = method if method is not None else EnergyBasedAccounting()
         self.bus = MessageBus()
@@ -137,7 +130,6 @@ class GreenAccess:
         self.monitor = EndpointMonitor(self.bus)
         self.predictor = PredictionService()
         self.real_execution = real_execution
-        self.batched = batched
         self._machines: dict[str, RegisteredMachine] = {}
         #: Live pricing catalogue shared (by reference) with every
         #: settlement queue, so machines registered later still price.
@@ -266,14 +258,8 @@ class GreenAccess:
         reference check runs on the exact balance.
 
         Returns the task id; the :class:`SubmissionReceipt` is produced
-        at settlement.  With ``batched=False`` this is simply
-        :meth:`submit` (the receipt lands in :attr:`receipts`).
+        at settlement.
         """
-        if not self.batched:
-            return self.submit(
-                user, function, machine, cores, callable_override
-            ).task_id
-
         machine, estimate = self._admit_checks(user, function, machine, cores)
         allocation = self.ledger.get(user)
         pending = self._pending.get(user)

@@ -43,6 +43,7 @@ from repro.experiments import (
 )
 from repro.experiments._simulation import scenario, workload
 from repro.sim.engine import SimulationResult
+from repro.sim import migration
 from repro.sim.migration import MigratingSimulator
 from repro.sim.policies import GreedyPolicy, standard_policies
 from repro.sim.scenarios import low_carbon_scenario
@@ -183,19 +184,13 @@ def extension_world():
     return machines, PatelWorkloadGenerator(machines, cfg).generate()
 
 
-def migration_digest(method_name: str, columnar: bool = False) -> str:
+def migration_run(method_name: str) -> tuple[str, MigratingSimulator]:
+    """(digest, simulator) of one pinned migration run."""
     machines, wl = extension_world()
     sim = MigratingSimulator(
         machines, method_by_name(method_name), GreedyPolicy(), min_saving=0.15
     )
-    if columnar:
-        sim.tick_vector_min = 0
-        sim.probe_vector_min = 0
-    digest = result_digest(sim.run(wl))
-    # A forced run that never takes the multi-tick pass pins nothing
-    # about it.
-    assert (sim.multi_tick_batches > 0) == columnar
-    return digest
+    return result_digest(sim.run(wl)), sim
 
 
 def shifting_digest() -> str:
@@ -234,8 +229,14 @@ def test_report_text_matches_golden(name):
 
 @pytest.mark.parametrize("columnar", [False, True], ids=["default", "columnar"])
 @pytest.mark.parametrize("method_name", sorted(GOLDEN_MIGRATION))
-def test_migration_matches_golden(method_name, columnar):
-    assert migration_digest(method_name, columnar) == GOLDEN_MIGRATION[method_name]
+def test_migration_matches_golden(method_name, columnar, monkeypatch):
+    if columnar:
+        monkeypatch.setattr(migration, "VECTOR_MIN", 0)
+    digest, sim = migration_run(method_name)
+    # A forced run that never takes a multi-tick pass pins nothing
+    # about it.
+    assert (sim.multi_tick_batches > 0) == columnar
+    assert digest == GOLDEN_MIGRATION[method_name]
 
 
 def test_shifting_matches_golden():
@@ -249,6 +250,6 @@ if __name__ == "__main__":  # pragma: no cover - regeneration helper
     print("GOLDEN_CELLS = " + json.dumps(cells, indent=4))
     reports = {name: text_digest(REPORTS[name]()) for name in sorted(REPORTS)}
     print("GOLDEN_REPORTS = " + json.dumps(reports, indent=4))
-    migration = {m.name: migration_digest(m.name) for m in all_methods()}
-    print("GOLDEN_MIGRATION = " + json.dumps(migration, indent=4))
+    migrations = {m.name: migration_run(m.name)[0] for m in all_methods()}
+    print("GOLDEN_MIGRATION = " + json.dumps(migrations, indent=4))
     print(f"GOLDEN_SHIFTING = {shifting_digest()!r}")

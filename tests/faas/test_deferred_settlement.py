@@ -1,5 +1,8 @@
 """Deferred settlement vs immediate debit: bit-identical, with exact
-admission control, across all five accounting methods."""
+admission control, across all five accounting methods.
+
+The reference is a twin platform that sends every invocation through
+``submit`` (price and debit on the spot)."""
 
 import pytest
 
@@ -15,8 +18,8 @@ from repro.hardware.catalog import (
 FUNCTIONS = ("Cholesky", "Pagerank", "BFS", "MatMul", "MST") * 3
 
 
-def make_platform(method, batched):
-    platform = GreenAccess(method=method, unit="u", batched=batched)
+def make_platform(method):
+    platform = GreenAccess(method=method, unit="u")
     for node in CPU_EXPERIMENT_NODES:
         platform.register_machine(
             node,
@@ -27,18 +30,20 @@ def make_platform(method, batched):
     return platform
 
 
-def run_submissions(platform):
-    """Submit the scripted workload; returns refused submission indices."""
+def run_submissions(platform, deferred):
+    """Submit the scripted workload through ``submit_deferred`` (or,
+    for the reference, ``submit``); returns refused submission indices."""
     platform.grant("rich", 1e6)
     platform.grant("tight", 2.0)
+    submit = platform.submit_deferred if deferred else platform.submit
     refused = []
     for i, function in enumerate(FUNCTIONS):
         try:
-            platform.submit_deferred("rich", function)
+            submit("rich", function)
         except AdmissionError:
             refused.append(("rich", i))
         try:
-            platform.submit_deferred("tight", function)
+            submit("tight", function)
         except AdmissionError:
             refused.append(("tight", i))
     return refused
@@ -47,10 +52,10 @@ def run_submissions(platform):
 class TestBitEquality:
     @pytest.mark.parametrize("method", all_methods(), ids=lambda m: m.name)
     def test_deferred_matches_immediate(self, method):
-        immediate = make_platform(method, batched=False)
-        deferred = make_platform(method, batched=True)
-        refused_immediate = run_submissions(immediate)
-        refused_deferred = run_submissions(deferred)
+        immediate = make_platform(method)
+        deferred = make_platform(method)
+        refused_immediate = run_submissions(immediate, deferred=False)
+        refused_deferred = run_submissions(deferred, deferred=True)
         deferred.settle()
 
         assert refused_deferred == refused_immediate
@@ -72,10 +77,10 @@ class TestBitEquality:
 
     def test_transactions_replay_in_submission_order(self):
         method = all_methods()[3]  # EBA
-        immediate = make_platform(method, batched=False)
-        deferred = make_platform(method, batched=True)
-        run_submissions(immediate)
-        run_submissions(deferred)
+        immediate = make_platform(method)
+        deferred = make_platform(method)
+        run_submissions(immediate, deferred=False)
+        run_submissions(deferred, deferred=True)
         deferred.settle()
         for user in ("rich", "tight"):
             txns_imm = immediate.ledger.get(user).transactions
@@ -87,7 +92,7 @@ class TestBitEquality:
 
 class TestDeferralMechanics:
     def test_charges_stay_pending_until_settle(self):
-        platform = make_platform(all_methods()[3], batched=True)
+        platform = make_platform(all_methods()[3])
         platform.grant("u", 1e6)
         platform.submit_deferred("u", "Cholesky")
         platform.submit_deferred("u", "Pagerank")
@@ -116,13 +121,13 @@ class TestDeferralMechanics:
         trace = CarbonIntensityTrace(
             "vary", np.concatenate(([50.0], np.full(23, 900.0)))
         )
-        platform = GreenAccess(method=CarbonBasedAccounting(), batched=True)
+        platform = GreenAccess(method=CarbonBasedAccounting())
         node = CPU_EXPERIMENT_NODES[0]
         platform.register_machine(
             node, pricing_for_node(node, CPU_EXPERIMENT_YEAR, trace)
         )
-        # Learn the actual charge from an immediate reference platform.
-        probe = GreenAccess(method=CarbonBasedAccounting(), batched=False)
+        # Learn the actual charge from a twin platform's immediate submit.
+        probe = GreenAccess(method=CarbonBasedAccounting())
         probe.register_machine(
             node, pricing_for_node(node, CPU_EXPERIMENT_YEAR, trace)
         )
@@ -143,7 +148,7 @@ class TestDeferralMechanics:
         assert platform.receipts[0].charged == reference.charged
 
     def test_admission_error_leaves_queue_settled_and_balance_intact(self):
-        platform = make_platform(all_methods()[3], batched=True)
+        platform = make_platform(all_methods()[3])
         platform.grant("u", 5.0)
         with pytest.raises(AdmissionError):
             platform.submit_deferred("u", "MD")
@@ -151,7 +156,7 @@ class TestDeferralMechanics:
         assert platform.ledger.get("u").balance == 5.0
 
     def test_immediate_submit_settles_users_pending_first(self):
-        platform = make_platform(all_methods()[3], batched=True)
+        platform = make_platform(all_methods()[3])
         platform.grant("u", 1e6)
         platform.submit_deferred("u", "Cholesky")
         receipt = platform.submit("u", "Pagerank")
@@ -161,22 +166,14 @@ class TestDeferralMechanics:
         assert platform.pending_settlements == 0
         assert receipt.balance_after == platform.ledger.get("u").balance
 
-    def test_unbatched_submit_deferred_is_immediate(self):
-        platform = make_platform(all_methods()[3], batched=False)
-        platform.grant("u", 1e6)
-        task_id = platform.submit_deferred("u", "Cholesky")
-        assert platform.pending_settlements == 0
-        assert platform.receipts[0].task_id == task_id
-        assert platform.settle() == []
-
     def test_settle_unknown_user_is_noop(self):
-        platform = make_platform(all_methods()[3], batched=True)
+        platform = make_platform(all_methods()[3])
         assert platform.settle("ghost") == []
 
     def test_machine_registered_after_first_deferral_still_prices(self):
         """The settlement queue must see the live machine catalogue,
         not a snapshot taken at the user's first deferred submission."""
-        platform = GreenAccess(method=all_methods()[3], batched=True)
+        platform = GreenAccess(method=all_methods()[3])
         first, second = CPU_EXPERIMENT_NODES[:2]
         platform.register_machine(
             first, pricing_for_node(first, CPU_EXPERIMENT_YEAR, 400.0)
@@ -196,8 +193,8 @@ class TestDeferralMechanics:
         not lose receipts of debited entries nor drop later charges."""
         from repro.accounting.allocation import AllocationExhausted
 
-        platform = make_platform(all_methods()[3], batched=True)
-        probe = make_platform(all_methods()[3], batched=False)
+        platform = make_platform(all_methods()[3])
+        probe = make_platform(all_methods()[3])
         probe.grant("u", 1e9)
         charge = probe.submit("u", "MD", machine="Desktop").charged
         # Covers the first measured charge (and each estimate) but not

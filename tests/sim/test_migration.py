@@ -14,6 +14,7 @@ from repro.accounting.pricing import QuoteTable
 from repro.carbon.intensity import CarbonIntensityTrace
 from repro.sim.engine import MultiClusterSimulator, pricing_for_sim_machine
 from repro.sim.job import Job, JobBlock
+from repro.sim import migration
 from repro.sim.migration import MigratingSimulator
 from repro.sim.policies import FixedMachinePolicy, GreedyPolicy
 from repro.sim.workload import (
@@ -21,6 +22,7 @@ from repro.sim.workload import (
     Workload,
     WorkloadConfig,
 )
+from seed_oracle import seed_migration_run
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +88,9 @@ class TestBenefit:
 
 class TestBatchedExactness:
     """The batched pricing paths (kernel quotes, batched probes,
-    deferred segment settlement) against the per-record reference, for
-    every accounting method — same outcomes, same order, same floats."""
+    deferred segment settlement) against the seed loop's per-record
+    pricing, for every accounting method — same outcomes, same order,
+    same floats."""
 
     @pytest.fixture(scope="class")
     def exactness_workload(self, low_carbon_machines):
@@ -102,13 +105,13 @@ class TestBatchedExactness:
     def test_bit_identical_outcomes(
         self, low_carbon_machines, exactness_workload, method
     ):
-        reference = MigratingSimulator(
+        reference = seed_migration_run(
             low_carbon_machines,
             method,
             GreedyPolicy(),
+            exactness_workload,
             min_saving=0.1,
-            batched=False,
-        ).run(exactness_workload)
+        )
         batched = MigratingSimulator(
             low_carbon_machines, method, GreedyPolicy(), min_saving=0.1
         ).run(exactness_workload)
@@ -223,6 +226,33 @@ class TestKnobs:
             MigratingSimulator(low_carbon_machines, cba, GreedyPolicy(), overhead_s=-1)
         with pytest.raises(ValueError):
             MigratingSimulator(low_carbon_machines, cba, GreedyPolicy(), min_saving=1.0)
+        # NaN passes ``<= 0`` / ``< 0`` checks: a NaN period never
+        # advances the tick clock (run() hangs), and a NaN overhead
+        # makes every move probe NaN (silently no migrations).
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            MigratingSimulator(
+                low_carbon_machines, cba, GreedyPolicy(), reevaluate_every_s=nan
+            )
+        with pytest.raises(ValueError):
+            MigratingSimulator(low_carbon_machines, cba, GreedyPolicy(), overhead_s=nan)
+        with pytest.raises(ValueError):
+            MigratingSimulator(low_carbon_machines, cba, GreedyPolicy(), min_saving=nan)
+
+    def test_infinite_period_never_reevaluates(
+        self, low_carbon_machines, long_job_workload
+    ):
+        """``reevaluate_every_s=inf`` is legal: no tick ever fires, so
+        the run matches the plain engine's totals."""
+        cba = CarbonBasedAccounting()
+        frozen = MigratingSimulator(
+            low_carbon_machines, cba, GreedyPolicy(), reevaluate_every_s=float("inf")
+        ).run(long_job_workload)
+        plain = MultiClusterSimulator(
+            low_carbon_machines, cba, GreedyPolicy()
+        ).run(long_job_workload)
+        assert frozen.n_jobs == plain.n_jobs
+        assert frozen.total_cost() == pytest.approx(plain.total_cost(), rel=1e-6)
 
 
 class TestVectorizedDecisionTieBreak:
@@ -278,26 +308,29 @@ class TestVectorizedDecisionTieBreak:
         )
         return machines, workload
 
-    def _run(self, machines, workload, **kwargs):
-        sim = MigratingSimulator(
+    def _sim(self, machines):
+        return MigratingSimulator(
             machines,
             CarbonBasedAccounting(),
             FixedMachinePolicy("Home"),
             min_saving=0.05,
             overhead_s=30.0,
-            **kwargs,
         )
-        return sim
 
     def test_tied_targets_bit_identical_and_first_eligible_wins(
-        self, tied_world
+        self, tied_world, monkeypatch
     ):
         machines, workload = tied_world
-        reference = self._run(machines, workload, batched=False).run(workload)
-        vectorized = self._run(machines, workload)
-        vectorized.tick_vector_min = 0
-        vectorized.probe_vector_min = 0
-        result = vectorized.run(workload)
+        reference = seed_migration_run(
+            machines,
+            CarbonBasedAccounting(),
+            FixedMachinePolicy("Home"),
+            workload,
+            min_saving=0.05,
+            overhead_s=30.0,
+        )
+        monkeypatch.setattr(migration, "VECTOR_MIN", 0)
+        result = self._sim(machines).run(workload)
         assert result.outcomes == reference.outcomes
         # The tie must actually occur and resolve to the first-eligible
         # clone, or this proves nothing about argmin tie-breaking.
@@ -345,7 +378,7 @@ class TestRunningTableLiveRows:
         self._churn(table, 512)
         live = 512 // 16
         assert len(table) == live
-        rows, _, _ = table.candidates(500.0)
+        _, rows, _, _ = table.candidates([500.0])
         assert table.last_scan_rows == live
         assert len(rows) == live
         assert int(rows.max()) < live
@@ -364,7 +397,7 @@ class TestRunningTableLiveRows:
         per-survivor scalar math, in (machine, seq) candidate order."""
         table, _ = self._build(512)
         self._churn(table, 512)
-        rows, remaining, frac_done = table.candidates(500.0)
+        _, rows, remaining, frac_done = table.candidates([500.0])
         got = [
             (int(table.job_id[r]), float(rem), float(f))
             for r, rem, f in zip(rows, remaining, frac_done)
