@@ -10,8 +10,26 @@ from repro.accounting.base import (
     UsageBatch,
     UsageRecord,
 )
-from repro.accounting.methods import CarbonBasedAccounting, all_methods
+from repro.accounting.methods import (
+    CarbonBasedAccounting,
+    EnergyBasedAccounting,
+    all_methods,
+)
+from repro.carbon.embodied import LinearDepreciation
 from repro.carbon.intensity import CarbonIntensityTrace
+
+#: Non-default configurations: beta != 1 exposes a re-associated beta
+#: term, and the CBA variants change the embodied rate and the intensity
+#: lookup.
+NON_DEFAULT_METHODS = [
+    pytest.param(EnergyBasedAccounting(beta=0.37), id="EBA-beta0.37"),
+    pytest.param(
+        CarbonBasedAccounting(schedule=LinearDepreciation()), id="CBA-linear"
+    ),
+    pytest.param(
+        CarbonBasedAccounting(average_intensity_over_run=True), id="CBA-average"
+    ),
+]
 
 
 def random_records(rng, n=200, machine="M", with_provisioned=True):
@@ -72,6 +90,41 @@ class TestChargeManyEquivalence:
         for machine in machine_variants(rng):
             looped = np.array([method.charge(r, machine) for r in records])
             assert np.array_equal(looped, method.charge_many(batch, machine))
+
+    @pytest.mark.parametrize("method", NON_DEFAULT_METHODS)
+    def test_non_default_configs_bit_identical_to_loop(self, method):
+        rng = np.random.default_rng(43)
+        records = random_records(rng)
+        batch = UsageBatch.from_records(records)
+        for machine in machine_variants(rng):
+            looped = np.array([method.charge(r, machine) for r in records])
+            assert np.array_equal(looped, method.charge_many(batch, machine))
+
+    @pytest.mark.parametrize(
+        "method",
+        [pytest.param(m, id=m.name) for m in all_methods()] + NON_DEFAULT_METHODS,
+    )
+    def test_upper_bound_dominates_charge(self, method):
+        rng = np.random.default_rng(47)
+        records = random_records(rng, n=100)
+        for machine in machine_variants(rng):
+            for r in records:
+                assert method.charge_upper_bound(r, machine) >= method.charge(
+                    r, machine
+                )
+
+    def test_cba_linear_embodied_charge_many(self):
+        rng = np.random.default_rng(8)
+        method = CarbonBasedAccounting(schedule=LinearDepreciation())
+        records = random_records(rng)
+        batch = UsageBatch.from_records(records)
+        for machine in machine_variants(rng):
+            looped = np.array(
+                [method.embodied_charge(r, machine) for r in records]
+            )
+            assert np.array_equal(
+                looped, method.embodied_charge_many(batch, machine)
+            )
 
     def test_cba_embodied_charge_many(self):
         rng = np.random.default_rng(7)

@@ -13,8 +13,26 @@ from repro.accounting.base import (
     MachinePricing,
     UsageRecord,
 )
-from repro.accounting.methods import CarbonBasedAccounting, all_methods
+from repro.accounting.methods import (
+    CarbonBasedAccounting,
+    EnergyBasedAccounting,
+    all_methods,
+)
+from repro.carbon.embodied import LinearDepreciation
 from repro.carbon.intensity import CarbonIntensityTrace
+
+#: The defaults plus non-default configurations: beta != 1 exposes a
+#: re-associated beta term, and the CBA variants change the embodied
+#: rate and the intensity lookup.
+METHODS = [pytest.param(m, id=m.name) for m in all_methods()] + [
+    pytest.param(EnergyBasedAccounting(beta=0.37), id="EBA-beta0.37"),
+    pytest.param(
+        CarbonBasedAccounting(schedule=LinearDepreciation()), id="CBA-linear"
+    ),
+    pytest.param(
+        CarbonBasedAccounting(average_intensity_over_run=True), id="CBA-average"
+    ),
+]
 
 
 def _trace(seed: int) -> CarbonIntensityTrace:
@@ -60,7 +78,7 @@ def _random_probes(n: int, seed: int):
         )
 
 
-@pytest.mark.parametrize("method", all_methods(), ids=lambda m: m.name)
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("pricing", _pricings(), ids=lambda p: p.name)
 def test_probe_kernel_matches_charge_exactly(method, pricing):
     probe = method.probe_kernel(pricing)
