@@ -14,9 +14,9 @@ a move in the user-study game (§6).
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -61,10 +61,11 @@ class UsageRecord:
     job_id: str = ""
 
     def __post_init__(self) -> None:
-        if self.duration_s < 0:
-            raise ValueError("duration cannot be negative")
-        if self.energy_j < 0:
-            raise ValueError("energy cannot be negative")
+        # ``not x >= 0`` rather than ``x < 0``: NaN fails every comparison.
+        if not self.duration_s >= 0:
+            raise ValueError("duration must be a non-negative number")
+        if not self.energy_j >= 0:
+            raise ValueError("energy must be a non-negative number")
         if self.cores <= 0:
             raise ValueError("cores must be positive")
         if self.provisioned_cores is not None and self.provisioned_cores <= 0:
@@ -106,10 +107,10 @@ class UsageBatch:
         n = len(duration)
         if not (len(energy) == len(cores) == len(start) == n):
             raise ValueError("batch arrays must have equal lengths")
-        if np.any(duration < 0):
-            raise ValueError("duration cannot be negative")
-        if np.any(energy < 0):
-            raise ValueError("energy cannot be negative")
+        if not np.all(duration >= 0):
+            raise ValueError("durations must be non-negative numbers")
+        if not np.all(energy >= 0):
+            raise ValueError("energies must be non-negative numbers")
         if np.any(cores <= 0):
             raise ValueError("cores must be positive")
         object.__setattr__(self, "duration_s", duration)
@@ -251,8 +252,16 @@ class MachinePricing:
     def __post_init__(self) -> None:
         if self.total_cores <= 0:
             raise ValueError("total_cores must be positive")
-        if self.tdp_watts <= 0:
+        # Negated comparisons: NaN fails every comparison.
+        if not self.tdp_watts > 0:
             raise ValueError("TDP must be positive")
+        if not self.peak_rating >= 0:
+            raise ValueError("peak rating must be a non-negative number")
+        if not self.embodied_carbon_g >= 0:
+            raise ValueError("embodied carbon must be a non-negative number")
+        rate = self.carbon_rate_override_g_per_h
+        if rate is not None and not rate >= 0:
+            raise ValueError("carbon rate must be a non-negative number")
 
     # ------------------------------------------------------------------
     def share(self, cores: int) -> float:
@@ -280,14 +289,18 @@ class MachinePricing:
         """Vectorized :meth:`attributed_tdp_watts`."""
         return self.tdp_watts * self.share_many(cores)
 
-    def intensity_at(self, time_s: float) -> float:
-        """Grid carbon intensity (gCO2e/kWh) at ``time_s``."""
+    def intensity_trace(self) -> CarbonIntensityTrace:
+        """The grid carbon-intensity trace; raises when there is none."""
         if self.intensity is None:
             raise ValueError(
                 f"machine {self.name!r} has no carbon-intensity trace; "
                 "CBA pricing requires one"
             )
-        return self.intensity.at(time_s)
+        return self.intensity
+
+    def intensity_at(self, time_s: float) -> float:
+        """Grid carbon intensity (gCO2e/kWh) at ``time_s``."""
+        return self.intensity_trace().at(time_s)
 
     def with_intensity(self, g_per_kwh: float) -> "MachinePricing":
         """Copy of this pricing with a flat intensity (scenario helper)."""
@@ -296,32 +309,101 @@ class MachinePricing:
         )
 
 
-class AccountingMethod(abc.ABC):
+class AccountingMethod:
     """A charging scheme: maps a usage record to an allocation cost.
 
     Cost units are method-specific (core-hours, joules, gCO2e, ...);
     comparisons across methods always normalize within a method first
     (see :mod:`repro.accounting.comparison`), exactly as the paper's
     tables do.
+
+    A subclass writes its formula once, as :meth:`cost`; the adapters
+    :meth:`charge`, :meth:`charge_many` and :meth:`probe_kernel` only
+    build its operands, so all three price bit for bit alike.  A subclass
+    may instead define :meth:`charge`, which the other two then loop
+    over.  One that defines neither is rejected when it is declared.
     """
 
     #: Short name used in tables ("Runtime", "Energy", "Peak", "EBA", "CBA").
     name: str = "?"
 
-    @abc.abstractmethod
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.cost is AccountingMethod.cost and cls.charge is AccountingMethod.charge:
+            raise TypeError(f"{cls.__name__} must define cost() or charge()")
+
+    def cost(
+        self,
+        k: Any,
+        duration_s: Any,
+        energy_j: Any,
+        cores: Any,
+        share: Any,
+        intensity: Any,
+    ) -> Any:
+        """The method's formula, in its units.
+
+        ``k`` is :meth:`machine_constant`, ``cores`` the request,
+        ``share`` the fraction of the unit the job occupies
+        (:meth:`MachinePricing.share`) and ``intensity`` the grid
+        intensity from :meth:`intensity_lookup`.  The operands are Python
+        floats for one record or float64 arrays for a batch, so use
+        arithmetic operators only, never ``min`` or ``if``: they perform
+        the same IEEE operations in the same order on both.
+        """
+        raise NotImplementedError(f"{type(self).__name__} does not define cost()")
+
+    def machine_constant(self, machine: MachinePricing) -> float:
+        """The one per-machine constant ``k`` that :meth:`cost` reads
+        (peak rating, TDP, embodied rate, ...); 0.0 when it reads none."""
+        return 0.0
+
+    def intensity_lookup(
+        self, machine: MachinePricing, many: bool = False
+    ) -> Callable[[Any, Any], Any]:
+        """The ``(start_s, duration_s) -> gCO2e/kWh`` lookup that feeds
+        :meth:`cost` its ``intensity`` on ``machine``, over floats or,
+        when ``many``, over arrays.  The base lookup returns 0.0."""
+        return lambda start_s, duration_s: 0.0
+
     def charge(self, record: UsageRecord, machine: MachinePricing) -> float:
         """Cost of ``record`` on ``machine``, in this method's units."""
+        lookup = self.intensity_lookup(machine)
+        intensity = lookup(record.start_time_s, record.duration_s)
+        return self.cost(*self._operands(record, machine), intensity)
+
+    def _operands(self, record: UsageRecord, machine: MachinePricing) -> tuple:
+        """:meth:`cost`'s operands for one record, bar the intensity."""
+        share = machine.share(record.occupancy)
+        k = self.machine_constant(machine)
+        return k, record.duration_s, record.energy_j, record.cores, share
+
+    def _batch_operands(self, batch: UsageBatch, machine: MachinePricing) -> tuple:
+        """:meth:`cost`'s operands for a batch, bar the intensity."""
+        share = machine.share_many(batch.occupancy)
+        k = self.machine_constant(machine)
+        return k, batch.duration_s, batch.energy_j, batch.cores, share
+
+    def _charges_per_record(self) -> bool:
+        """True when a subclass prices through its own :meth:`charge`."""
+        return type(self).charge is not AccountingMethod.charge
 
     def charge_many(self, batch: UsageBatch, machine: MachinePricing) -> np.ndarray:
         """Vectorized :meth:`charge` over a same-machine batch.
 
-        The base implementation loops, so any subclass is automatically
-        batch-capable; the built-in methods override this with pure
-        array expressions that are bit-identical to the looped path.
+        Evaluates :meth:`cost` once over the batch's arrays into a fresh
+        float64 array, bit-identical to the looped path.  Methods that
+        define their own :meth:`charge` are looped instead, so any
+        subclass is batch-capable.
         """
-        return np.array(
-            [self.charge(record, machine) for record in batch.records()]
-        )
+        if self._charges_per_record():
+            return np.array(
+                [self.charge(record, machine) for record in batch.records()]
+            )
+        lookup = self.intensity_lookup(machine, many=True)
+        intensity = lookup(batch.start_time_s, batch.duration_s)
+        out = self.cost(*self._batch_operands(batch, machine), intensity)
+        return np.array(out, dtype=np.float64)
 
     def charge_upper_bound(
         self, record: UsageRecord, machine: MachinePricing
@@ -347,29 +429,28 @@ class AccountingMethod(abc.ABC):
         simulator's per-tick stay/move re-evaluations) are dominated by
         per-call overhead — :class:`UsageRecord` construction, method
         dispatch, NumPy fixed costs on two-element arrays — rather than
-        arithmetic.  A probe kernel hoists the per-machine constants
-        once and prices one probe in a handful of float operations.
-
-        The base implementation builds a record and defers to
-        :meth:`charge`, so any method is probe-capable; the built-in
-        methods override it with closed-form closures that perform the
-        **same IEEE operations in the same order** as their ``charge``,
-        so probe quotes are bit-identical to record pricing (the test
-        suite asserts exact equality).
+        arithmetic.  A probe kernel hoists the per-machine constant, the
+        share inputs and the intensity lookup once, then prices one probe
+        with one :meth:`cost` call, so probe quotes are bit-identical to
+        record pricing (the test suite asserts exact equality).  Methods
+        that define their own :meth:`charge` get :meth:`estimate`, which
+        builds a record and charges it.
         """
+        if self._charges_per_record():
+            return partial(self.estimate, machine)
+        cost = self.cost
+        k = self.machine_constant(machine)
+        lookup = self.intensity_lookup(machine)
+        total = machine.total_cores
+        whole_unit = machine.whole_unit
 
         def probe(
             duration_s: float, energy_j: float, cores: int, start_time_s: float
         ) -> float:
-            return self.charge(
-                UsageRecord(
-                    machine=machine.name,
-                    duration_s=duration_s,
-                    energy_j=energy_j,
-                    cores=cores,
-                    start_time_s=start_time_s,
-                ),
-                machine,
+            # MachinePricing.share, inlined: probes run once per event.
+            share = 1.0 if whole_unit else min(1.0, cores / total)
+            return cost(
+                k, duration_s, energy_j, cores, share, lookup(start_time_s, duration_s)
             )
 
         return probe
@@ -400,6 +481,15 @@ class AccountingMethod(abc.ABC):
 # ---------------------------------------------------------------------------
 # Constructors from hardware specs
 # ---------------------------------------------------------------------------
+def _as_trace(
+    name: str, intensity: CarbonIntensityTrace | float | None
+) -> CarbonIntensityTrace | None:
+    """A trace as given, a flat trace for a number, or None."""
+    if intensity is None or isinstance(intensity, CarbonIntensityTrace):
+        return intensity
+    return constant_trace(f"{name}-flat", float(intensity))
+
+
 def pricing_for_node(
     node: NodeSpec,
     current_year: int,
@@ -410,13 +500,6 @@ def pricing_for_node(
     ``intensity`` may be a trace, a flat gCO2e/kWh value, or None (CBA
     will then refuse to price).
     """
-    trace: CarbonIntensityTrace | None
-    if intensity is None:
-        trace = None
-    elif isinstance(intensity, CarbonIntensityTrace):
-        trace = intensity
-    else:
-        trace = constant_trace(f"{node.name}-flat", float(intensity))
     return MachinePricing(
         name=node.name,
         total_cores=node.cores,
@@ -424,7 +507,7 @@ def pricing_for_node(
         peak_rating=node.peak_gflops_per_core,
         embodied_carbon_g=node.embodied_carbon_g,
         age_years=node.age_years(current_year),
-        intensity=trace,
+        intensity=_as_trace(node.name, intensity),
     )
 
 
@@ -440,13 +523,6 @@ def pricing_for_gpu_config(
     embodied rate (Table 2); when omitted CBA derives one from the
     configuration's estimated embodied total.
     """
-    trace: CarbonIntensityTrace | None
-    if intensity is None:
-        trace = None
-    elif isinstance(intensity, CarbonIntensityTrace):
-        trace = intensity
-    else:
-        trace = constant_trace(f"{config.name}-flat", float(intensity))
     return MachinePricing(
         name=config.name,
         total_cores=config.count,
@@ -454,7 +530,7 @@ def pricing_for_gpu_config(
         peak_rating=config.gpu.peak_gflops,
         embodied_carbon_g=config.embodied_carbon_g,
         age_years=config.age_years(current_year),
-        intensity=trace,
+        intensity=_as_trace(config.name, intensity),
         carbon_rate_override_g_per_h=carbon_rate_g_per_h,
         whole_unit=True,
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.accounting.base import AccountingMethod, MachinePricing, UsageRecord
-from repro.units import SECONDS_PER_HOUR
+from repro.units import core_hours
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class FugakuPointsAccounting(AccountingMethod):
         return self.mean_power_w(record) <= standard
 
     def charge(self, record: UsageRecord, machine: MachinePricing) -> float:
-        base = record.cores * record.duration_s / SECONDS_PER_HOUR
+        base = core_hours(record.cores, record.duration_s)
         if self.qualifies(record, machine):
             return base * (1.0 - self.bonus_fraction)
         return base
@@ -91,8 +91,8 @@ class EfficiencyPriorityScore:
         total = 0.0
         efficient = 0.0
         for record, machine in history:
-            core_hours = record.cores * record.duration_s / SECONDS_PER_HOUR
-            total += core_hours
+            used = core_hours(record.cores, record.duration_s)
+            total += used
             standard = (
                 self.standard_power_fraction
                 * machine.attributed_tdp_watts(record.occupancy)
@@ -100,7 +100,7 @@ class EfficiencyPriorityScore:
             if record.duration_s > 0 and (
                 record.energy_j / record.duration_s <= standard
             ):
-                efficient += core_hours
+                efficient += used
         if total <= 0:
             return 1.0  # no history: benefit of the doubt
         return efficient / total

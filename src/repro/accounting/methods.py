@@ -13,12 +13,16 @@ CBA         ``e_j * I_f(t) + d_j * rate_f(y) * share``  — Eq. (2)
 ``TDP_share`` scales the node TDP by the fraction of the node the job
 holds, because green-ACCESS provisions CPU jobs by core and charges GPU
 jobs for whole devices (§4.1).
+
+Each method writes its formula once, as
+:meth:`~repro.accounting.base.AccountingMethod.cost`; ``charge``,
+``charge_many`` and ``probe_kernel`` are the base class's adapters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -33,7 +37,7 @@ from repro.carbon.embodied import (
     DoubleDecliningBalance,
     carbon_rate_per_hour,
 )
-from repro.units import SECONDS_PER_HOUR, operational_carbon_g
+from repro.units import SECONDS_PER_HOUR, core_hours, operational_carbon_g
 
 
 @dataclass(frozen=True)
@@ -46,21 +50,8 @@ class RuntimeAccounting(AccountingMethod):
 
     name: str = field(default="Runtime", init=False)
 
-    def charge(self, record: UsageRecord, machine: MachinePricing) -> float:
-        return record.cores * record.duration_s / SECONDS_PER_HOUR
-
-    def charge_many(self, batch: UsageBatch, machine: MachinePricing) -> np.ndarray:
-        return batch.cores * batch.duration_s / SECONDS_PER_HOUR
-
-    def probe_kernel(
-        self, machine: MachinePricing
-    ) -> Callable[[float, float, int, float], float]:
-        def probe(
-            duration_s: float, energy_j: float, cores: int, start_time_s: float
-        ) -> float:
-            return cores * duration_s / SECONDS_PER_HOUR
-
-        return probe
+    def cost(self, k, duration_s, energy_j, cores, share, intensity):
+        return core_hours(cores, duration_s)
 
 
 @dataclass(frozen=True)
@@ -70,21 +61,8 @@ class EnergyAccounting(AccountingMethod):
 
     name: str = field(default="Energy", init=False)
 
-    def charge(self, record: UsageRecord, machine: MachinePricing) -> float:
-        return record.energy_j
-
-    def charge_many(self, batch: UsageBatch, machine: MachinePricing) -> np.ndarray:
-        return np.array(batch.energy_j, dtype=float)
-
-    def probe_kernel(
-        self, machine: MachinePricing
-    ) -> Callable[[float, float, int, float], float]:
-        def probe(
-            duration_s: float, energy_j: float, cores: int, start_time_s: float
-        ) -> float:
-            return energy_j
-
-        return probe
+    def cost(self, k, duration_s, energy_j, cores, share, intensity):
+        return energy_j
 
 
 @dataclass(frozen=True)
@@ -99,23 +77,12 @@ class PeakAccounting(AccountingMethod):
 
     name: str = field(default="Peak", init=False)
 
-    def charge(self, record: UsageRecord, machine: MachinePricing) -> float:
-        return record.cores * record.duration_s * machine.peak_rating
+    def cost(self, k, duration_s, energy_j, cores, share, intensity):
+        return cores * duration_s * k
 
-    def charge_many(self, batch: UsageBatch, machine: MachinePricing) -> np.ndarray:
-        return batch.cores * batch.duration_s * machine.peak_rating
-
-    def probe_kernel(
-        self, machine: MachinePricing
-    ) -> Callable[[float, float, int, float], float]:
-        rating = machine.peak_rating
-
-        def probe(
-            duration_s: float, energy_j: float, cores: int, start_time_s: float
-        ) -> float:
-            return cores * duration_s * rating
-
-        return probe
+    def machine_constant(self, machine: MachinePricing) -> float:
+        """The machine's per-core peak rating."""
+        return machine.peak_rating
 
 
 @dataclass(frozen=True)
@@ -136,39 +103,13 @@ class EnergyBasedAccounting(AccountingMethod):
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must be within [0, 1]")
 
-    def charge(self, record: UsageRecord, machine: MachinePricing) -> float:
-        potential_j = (
-            self.beta
-            * record.duration_s
-            * machine.attributed_tdp_watts(record.occupancy)
-        )
-        return (record.energy_j + potential_j) / 2.0
+    def cost(self, k, duration_s, energy_j, cores, share, intensity):
+        # k * share is MachinePricing.attributed_tdp_watts.
+        return (energy_j + self.beta * duration_s * (k * share)) / 2.0
 
-    def charge_many(self, batch: UsageBatch, machine: MachinePricing) -> np.ndarray:
-        potential_j = (
-            self.beta
-            * batch.duration_s
-            * machine.attributed_tdp_watts_many(batch.occupancy)
-        )
-        return (batch.energy_j + potential_j) / 2.0
-
-    def probe_kernel(
-        self, machine: MachinePricing
-    ) -> Callable[[float, float, int, float], float]:
-        beta = self.beta
-        tdp = machine.tdp_watts
-        total = machine.total_cores
-        whole_unit = machine.whole_unit
-
-        def probe(
-            duration_s: float, energy_j: float, cores: int, start_time_s: float
-        ) -> float:
-            # Same associativity as charge(): (beta * d) * (tdp * share).
-            share = 1.0 if whole_unit else min(1.0, cores / total)
-            potential_j = beta * duration_s * (tdp * share)
-            return (energy_j + potential_j) / 2.0
-
-        return probe
+    def machine_constant(self, machine: MachinePricing) -> float:
+        """The machine's full-unit TDP (W)."""
+        return machine.tdp_watts
 
 
 @dataclass(frozen=True)
@@ -191,126 +132,71 @@ class CarbonBasedAccounting(AccountingMethod):
     average_intensity_over_run: bool = False
     name: str = field(default="CBA", init=False)
 
-    def charge(self, record: UsageRecord, machine: MachinePricing) -> float:
-        if machine.intensity is None:
-            raise ValueError(
-                f"machine {machine.name!r} has no carbon-intensity trace"
-            )
-        if self.average_intensity_over_run:
-            intensity = machine.intensity.average_over(
-                record.start_time_s, record.duration_s
-            )
-        else:
-            intensity = machine.intensity.at(record.start_time_s)
-        operational = operational_carbon_g(record.energy_j, intensity)
-        embodied = self.embodied_charge(record, machine)
-        return operational + embodied
+    def cost(self, k, duration_s, energy_j, cores, share, intensity):
+        embodied = k * (duration_s / SECONDS_PER_HOUR) * share
+        return operational_carbon_g(energy_j, intensity) + embodied
 
-    def charge_many(self, batch: UsageBatch, machine: MachinePricing) -> np.ndarray:
-        if machine.intensity is None:
-            raise ValueError(
-                f"machine {machine.name!r} has no carbon-intensity trace"
-            )
-        if self.average_intensity_over_run:
-            intensity = machine.intensity.average_over_many(
-                batch.start_time_s, batch.duration_s
-            )
-        else:
-            intensity = machine.intensity.at_many(batch.start_time_s)
-        operational = operational_carbon_g(batch.energy_j, intensity)
-        return operational + self.embodied_charge_many(batch, machine)
-
-    def probe_kernel(
-        self, machine: MachinePricing
-    ) -> Callable[[float, float, int, float], float]:
-        if machine.intensity is None:
-            raise ValueError(
-                f"machine {machine.name!r} has no carbon-intensity trace"
-            )
-        trace = machine.intensity
-        rate = self._embodied_rate(machine)
-        total = machine.total_cores
-        whole_unit = machine.whole_unit
-
-        if self.average_intensity_over_run:
-
-            def probe(
-                duration_s: float, energy_j: float, cores: int, start_time_s: float
-            ) -> float:
-                intensity = trace.average_over(start_time_s, duration_s)
-                share = 1.0 if whole_unit else min(1.0, cores / total)
-                return operational_carbon_g(energy_j, intensity) + rate * (
-                    duration_s / SECONDS_PER_HOUR
-                ) * share
-
-            return probe
-
-        # Snapshot pricing: consecutive probes in one re-evaluation tick
-        # share a start time, so memoize the last trace lookup.
-        memo_start: float | None = None
-        memo_intensity = 0.0
-
-        def probe(
-            duration_s: float, energy_j: float, cores: int, start_time_s: float
-        ) -> float:
-            nonlocal memo_start, memo_intensity
-            if start_time_s != memo_start:
-                memo_start = start_time_s
-                memo_intensity = trace.at(start_time_s)
-            share = 1.0 if whole_unit else min(1.0, cores / total)
-            return operational_carbon_g(energy_j, memo_intensity) + rate * (
-                duration_s / SECONDS_PER_HOUR
-            ) * share
-
-        return probe
-
-    def charge_upper_bound(
-        self, record: UsageRecord, machine: MachinePricing
-    ) -> float:
-        """Sound bound without a trace lookup: the trace maximum bounds
-        both the snapshot and the window-averaged intensity."""
-        if machine.intensity is None:
-            raise ValueError(
-                f"machine {machine.name!r} has no carbon-intensity trace"
-            )
-        operational = operational_carbon_g(
-            record.energy_j, machine.intensity.max
-        )
-        return operational + self.embodied_charge(record, machine)
-
-    def embodied_charge(self, record: UsageRecord, machine: MachinePricing) -> float:
-        """The embodied (second) term of Eq. (2), in gCO2e."""
-        hours = record.duration_s / SECONDS_PER_HOUR
-        return self._embodied_rate(machine) * hours * machine.share(record.occupancy)
-
-    def embodied_charge_many(
-        self, batch: UsageBatch, machine: MachinePricing
-    ) -> np.ndarray:
-        """Vectorized :meth:`embodied_charge` (same IEEE operation order)."""
-        hours = batch.duration_s / SECONDS_PER_HOUR
-        return (
-            self._embodied_rate(machine) * hours * machine.share_many(batch.occupancy)
-        )
-
-    def _embodied_rate(self, machine: MachinePricing) -> float:
+    def machine_constant(self, machine: MachinePricing) -> float:
+        """The machine's embodied rate ``rate_f(y)`` (gCO2e/h)."""
         if machine.carbon_rate_override_g_per_h is not None:
             return machine.carbon_rate_override_g_per_h
         return carbon_rate_per_hour(
             machine.embodied_carbon_g, machine.age_years, self.schedule
         )
 
+    def intensity_lookup(
+        self, machine: MachinePricing, many: bool = False
+    ) -> Callable[[Any, Any], Any]:
+        """The submit-hour snapshot, or the window mean when
+        ``average_intensity_over_run``; raises when ``machine`` has no
+        trace."""
+        trace = machine.intensity_trace()
+        if self.average_intensity_over_run:
+            return trace.average_over_many if many else trace.average_over
+        if many:
+            return lambda start_s, duration_s: trace.at_many(start_s)
+        # Consecutive probes in one re-evaluation tick share a start
+        # time, so memoize the last trace lookup.
+        memo_start: float | None = None
+        memo_intensity = 0.0
+
+        def snapshot(start_s: float, duration_s: float) -> float:
+            nonlocal memo_start, memo_intensity
+            if start_s != memo_start:
+                memo_start = start_s
+                memo_intensity = trace.at(start_s)
+            return memo_intensity
+
+        return snapshot
+
+    def charge_upper_bound(
+        self, record: UsageRecord, machine: MachinePricing
+    ) -> float:
+        """Sound bound without a trace lookup: the trace maximum bounds
+        both the snapshot and the window-averaged intensity."""
+        peak = machine.intensity_trace().max
+        return self.cost(*self._operands(record, machine), peak)
+
+    def embodied_charge(self, record: UsageRecord, machine: MachinePricing) -> float:
+        """The embodied (second) term of Eq. (2), in gCO2e."""
+        # cost() of the job drawing no energy: the operational term is
+        # +0.0, and adding it is exact.
+        k, duration_s, _, cores, share = self._operands(record, machine)
+        return self.cost(k, duration_s, 0.0, cores, share, 0.0)
+
+    def embodied_charge_many(
+        self, batch: UsageBatch, machine: MachinePricing
+    ) -> np.ndarray:
+        """Vectorized :meth:`embodied_charge` (same IEEE operation order)."""
+        k, duration_s, _, cores, share = self._batch_operands(batch, machine)
+        return self.cost(k, duration_s, 0.0, cores, share, 0.0)
+
     def operational_charge(self, record: UsageRecord, machine: MachinePricing) -> float:
         """The operational (first) term of Eq. (2), in gCO2e."""
-        if machine.intensity is None:
-            raise ValueError(
-                f"machine {machine.name!r} has no carbon-intensity trace"
-            )
-        intensity = (
-            machine.intensity.average_over(record.start_time_s, record.duration_s)
-            if self.average_intensity_over_run
-            else machine.intensity.at(record.start_time_s)
+        lookup = self.intensity_lookup(machine)
+        return operational_carbon_g(
+            record.energy_j, lookup(record.start_time_s, record.duration_s)
         )
-        return operational_carbon_g(record.energy_j, intensity)
 
 
 def all_methods() -> list[AccountingMethod]:

@@ -37,8 +37,9 @@ class CarbonIntensityTrace:
         values = np.asarray(self.hourly_g_per_kwh, dtype=float)
         if values.ndim != 1 or len(values) == 0:
             raise ValueError("trace must be a non-empty 1-D array")
-        if np.any(values < 0):
-            raise ValueError("carbon intensity cannot be negative")
+        # A NaN or infinite hour would poison every CBA charge in it.
+        if not np.all(np.isfinite(values) & (values >= 0)):
+            raise ValueError("carbon intensity must be finite and non-negative")
         object.__setattr__(self, "hourly_g_per_kwh", values)
 
     def __len__(self) -> int:
@@ -86,27 +87,12 @@ class CarbonIntensityTrace:
         Jobs spanning several hours should be charged the mean intensity
         over their run, not the submit-hour snapshot; both behaviours are
         offered and the accounting method chooses.  Evaluated in O(1) via
-        cached hourly prefix sums regardless of the window length.
+        cached hourly prefix sums regardless of the window length, by
+        :meth:`average_over_many` on a one-element window.
         """
-        if duration_s < 0:
-            raise ValueError("duration cannot be negative")
-        end_s = start_s + duration_s
-        if self._degenerate(start_s, end_s, duration_s):
-            return self.at(start_s)
-        h0 = int(np.floor(start_s / SECONDS_PER_HOUR))
-        h1 = int(np.floor(end_s / SECONDS_PER_HOUR))
-        if h0 == h1:
-            # The window sits inside one hour bucket: the time-weighted
-            # mean is exactly that bucket's value.
-            return self.at(start_s)
-        values = self.hourly_g_per_kwh
-        n = len(values)
-        first = ((h0 + 1) * SECONDS_PER_HOUR - start_s) * values[h0 % n]
-        last = (end_s - h1 * SECONDS_PER_HOUR) * values[h1 % n]
-        whole = self._cumulative_hours(np.asarray(h1)) - self._cumulative_hours(
-            np.asarray(h0 + 1)
+        return float(
+            self.average_over_many(np.array([start_s]), np.array([duration_s]))[0]
         )
-        return float((first + whole * SECONDS_PER_HOUR + last) / duration_s)
 
     def average_over_many(
         self, start_s: np.ndarray, duration_s: np.ndarray
@@ -121,12 +107,20 @@ class CarbonIntensityTrace:
         durations = np.asarray(duration_s, dtype=float)
         if starts.shape != durations.shape:
             raise ValueError("start and duration arrays must align")
-        if np.any(durations < 0):
-            raise ValueError("duration cannot be negative")
+        if not np.all(durations >= 0):
+            raise ValueError("duration must be a non-negative number")
         ends = starts + durations
         h0 = np.floor(starts / SECONDS_PER_HOUR).astype(np.int64)
         h1 = np.floor(ends / SECONDS_PER_HOUR).astype(np.int64)
-        point = self._degenerate(starts, ends, durations) | (h0 == h1)
+        # A window is a point lookup when it sits inside one hour bucket,
+        # or when it is too short to integrate reliably: sub-nanosecond
+        # windows, and windows within a few orders of magnitude of one ulp
+        # of their endpoints, whose hour-chunk widths would divide float
+        # rounding noise by a near-zero duration.  The guard is relative
+        # to the endpoint magnitude, so a 1e-9 s window at t=32 s falls
+        # back to a point lookup just like one at t=0.
+        ulp = np.spacing(np.maximum(np.abs(starts), np.abs(ends)))
+        point = (durations < 1e-9) | (durations <= 1e8 * ulp) | (h0 == h1)
         values = self.hourly_g_per_kwh
         n = len(values)
         # Guard the divide for point windows; they are overwritten below.
@@ -136,20 +130,6 @@ class CarbonIntensityTrace:
         whole = self._cumulative_hours(h1) - self._cumulative_hours(h0 + 1)
         avg = (first + whole * SECONDS_PER_HOUR + last) / safe
         return np.where(point, self.at_many(starts), avg)
-
-    @staticmethod
-    def _degenerate(start_s, end_s, duration_s):
-        """True where a window is too short to integrate reliably.
-
-        Sub-nanosecond windows degenerate to a point, and windows whose
-        length is within a few orders of magnitude of one ulp of their
-        endpoints would divide float rounding noise in the hour-chunk
-        widths by a near-zero duration — the guard is *relative* to the
-        endpoint magnitude, so a 1e-9 s window at t=32 s falls back to a
-        point lookup just like one at t=0.
-        """
-        ulp = np.spacing(np.maximum(np.abs(start_s), np.abs(end_s)))
-        return (duration_s < 1e-9) | (duration_s <= 1e8 * ulp)
 
     # ------------------------------------------------------------------
     @property
@@ -182,8 +162,6 @@ def constant_trace(
     region: str, g_per_kwh: float, hours: int = 24
 ) -> CarbonIntensityTrace:
     """A flat trace — what the Table 5 yearly-average scenario uses."""
-    if g_per_kwh < 0:
-        raise ValueError("carbon intensity cannot be negative")
     return CarbonIntensityTrace(
         region=region, hourly_g_per_kwh=np.full(hours, float(g_per_kwh))
     )

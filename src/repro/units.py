@@ -77,7 +77,8 @@ def operational_carbon_g(energy_joules: float, intensity_g_per_kwh: float) -> fl
     This is the first term of the paper's Eq. (2): ``e_j * I_f(t)`` with
     ``e_j`` expressed in kWh.
     """
-    return joules_to_kwh(energy_joules) * intensity_g_per_kwh
+    # joules_to_kwh, inlined: CBA evaluates this once per migration probe.
+    return energy_joules / JOULES_PER_KWH * intensity_g_per_kwh
 
 
 def grams_to_kg(grams: float) -> float:

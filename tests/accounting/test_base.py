@@ -29,6 +29,8 @@ class TestUsageRecord:
         [
             {"duration_s": -1.0},
             {"energy_j": -1.0},
+            {"duration_s": float("nan")},
+            {"energy_j": float("nan")},
             {"cores": 0},
             {"provisioned_cores": 0},
         ],
@@ -71,6 +73,25 @@ class TestMachinePricing:
             MachinePricing(name="m", total_cores=0, tdp_watts=1.0, peak_rating=1.0)
         with pytest.raises(ValueError):
             MachinePricing(name="m", total_cores=1, tdp_watts=0.0, peak_rating=1.0)
+
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"tdp_watts": float("nan")},
+            {"peak_rating": float("nan")},
+            {"peak_rating": -1.0},
+            {"embodied_carbon_g": -1.0},
+            {"embodied_carbon_g": float("nan")},
+            {"carbon_rate_override_g_per_h": -1.0},
+            {"carbon_rate_override_g_per_h": float("nan")},
+        ],
+    )
+    def test_rejects_invalid(self, kw):
+        base = dict(name="m", total_cores=8, tdp_watts=100.0, peak_rating=1.0)
+        base.update(kw)
+        with pytest.raises(ValueError):
+            MachinePricing(**base)
 
 
 class TestConstructors:

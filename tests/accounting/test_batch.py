@@ -197,6 +197,8 @@ class TestUsageBatch:
         [
             ("duration_s", -1.0),
             ("energy_j", -2.0),
+            ("duration_s", np.nan),
+            ("energy_j", np.nan),
             ("cores", 0),
         ],
     )

@@ -40,6 +40,13 @@ class TestLookup:
         with pytest.raises(ValueError):
             CarbonIntensityTrace("bad", np.array([1.0, -2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError):
+            CarbonIntensityTrace("bad", np.array([bad, 1.0]))
+        with pytest.raises(ValueError):
+            constant_trace("bad", bad)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             CarbonIntensityTrace("bad", np.array([]))
@@ -92,7 +99,46 @@ def _integral_average(trace, start_s, duration_s):
     return float((vals * widths).sum() / duration_s)
 
 
+def _scalar_average(trace, start_s, duration_s):
+    """The former scalar window integral, kept as an oracle:
+    :meth:`CarbonIntensityTrace.average_over` now runs the vectorized path
+    on a one-element window and must match this bit for bit."""
+    end_s = start_s + duration_s
+    ulp = np.spacing(max(abs(start_s), abs(end_s)))
+    if duration_s < 1e-9 or duration_s <= 1e8 * ulp:
+        return trace.at(start_s)
+    h0 = int(np.floor(start_s / 3600.0))
+    h1 = int(np.floor(end_s / 3600.0))
+    if h0 == h1:
+        return trace.at(start_s)
+    values = trace.hourly_g_per_kwh
+    n = len(values)
+    prefix = np.concatenate(([0.0], np.cumsum(values)))
+
+    def cumulative(hour):
+        cycles, rem = divmod(hour, n)
+        return cycles * prefix[n] + prefix[rem]
+
+    first = ((h0 + 1) * 3600.0 - start_s) * values[h0 % n]
+    last = (end_s - h1 * 3600.0) * values[h1 % n]
+    whole = cumulative(h1) - cumulative(h0 + 1)
+    return float((first + whole * 3600.0 + last) / duration_s)
+
+
 class TestPrefixSumPath:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_element_window_matches_scalar_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        trace = CarbonIntensityTrace("t", rng.uniform(0.0, 900.0, size=97))
+        starts = np.concatenate([rng.uniform(0.0, 5e6, size=2000), [0.0, 32.0]])
+        durations = np.concatenate(
+            [10.0 ** rng.uniform(-12, 6, size=2000), [0.0, 1e-9]]
+        )
+        for start, duration in zip(starts.tolist(), durations.tolist()):
+            assert trace.average_over(start, duration) == _scalar_average(
+                trace, start, duration
+            )
+
     @given(
         st.lists(
             st.floats(min_value=0.0, max_value=1000.0), min_size=1, max_size=72
