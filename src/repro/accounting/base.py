@@ -327,9 +327,13 @@ class AccountingMethod:
     #: Short name used in tables ("Runtime", "Energy", "Peak", "EBA", "CBA").
     name: str = "?"
 
+    #: True when a subclass prices through its own :meth:`charge`.
+    _charges_per_record = False
+
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        if cls.cost is AccountingMethod.cost and cls.charge is AccountingMethod.charge:
+        cls._charges_per_record = cls.charge is not AccountingMethod.charge
+        if not cls._charges_per_record and cls.cost is AccountingMethod.cost:
             raise TypeError(f"{cls.__name__} must define cost() or charge()")
 
     def cost(
@@ -384,10 +388,6 @@ class AccountingMethod:
         k = self.machine_constant(machine)
         return k, batch.duration_s, batch.energy_j, batch.cores, share
 
-    def _charges_per_record(self) -> bool:
-        """True when a subclass prices through its own :meth:`charge`."""
-        return type(self).charge is not AccountingMethod.charge
-
     def charge_many(self, batch: UsageBatch, machine: MachinePricing) -> np.ndarray:
         """Vectorized :meth:`charge` over a same-machine batch.
 
@@ -396,7 +396,7 @@ class AccountingMethod:
         define their own :meth:`charge` are looped instead, so any
         subclass is batch-capable.
         """
-        if self._charges_per_record():
+        if self._charges_per_record:
             return np.array(
                 [self.charge(record, machine) for record in batch.records()]
             )
@@ -436,7 +436,7 @@ class AccountingMethod:
         that define their own :meth:`charge` get :meth:`estimate`, which
         builds a record and charges it.
         """
-        if self._charges_per_record():
+        if self._charges_per_record:
             return partial(self.estimate, machine)
         cost = self.cost
         k = self.machine_constant(machine)
