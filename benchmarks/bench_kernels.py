@@ -261,7 +261,7 @@ def test_sweep_short_runs_kernel_cache(run_once, benchmark):
     """A serial 8-policy sweep of short engine runs with the shared
     quote-table cache: the workload is priced once for the whole sweep
     instead of once per policy run (reference: per-task
-    ``PricingKernel`` construction, ``REPRO_SWEEP_KERNEL_CACHE=0``)."""
+    ``PricingKernel`` construction)."""
     from repro.experiments._simulation import method_for, scenario, workload
     from repro.sim.policies import standard_policies
     from repro.sim.sweep import SweepRunner, SweepTask, clear_quote_tables
@@ -272,7 +272,6 @@ def test_sweep_short_runs_kernel_cache(run_once, benchmark):
         workload_fn=workload,
         method_fn=method_for,
         workers=1,
-        kernel_cache=True,
     )
     tasks = [
         SweepTask("baseline", p.name, "EBA", scale, 0)

@@ -285,10 +285,6 @@ class MachinePricing:
             return np.ones(cores.shape)
         return np.minimum(1.0, cores / self.total_cores)
 
-    def attributed_tdp_watts_many(self, cores: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`attributed_tdp_watts`."""
-        return self.tdp_watts * self.share_many(cores)
-
     def intensity_trace(self) -> CarbonIntensityTrace:
         """The grid carbon-intensity trace; raises when there is none."""
         if self.intensity is None:

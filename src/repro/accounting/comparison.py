@@ -23,9 +23,6 @@ class CostTable:
     #: runtime (s) and energy (J) per machine, for the "Metrics" columns.
     metrics: dict[str, tuple[float, float]] = field(default_factory=dict)
 
-    def raw_cost(self, machine: str, method: str) -> float:
-        return self.raw[machine][method]
-
     def normalized(
         self, method: str, reference: str | None = None
     ) -> dict[str, float]:

@@ -32,6 +32,7 @@ from __future__ import annotations
 from pathlib import Path
 from types import TracebackType
 from typing import Iterator, Sequence
+from zipfile import BadZipFile
 
 import numpy as np
 
@@ -85,17 +86,23 @@ class OutcomeSpillStore:
             )
         if not len(table):
             return
-        self._n_rows += len(table)
         if self.directory is None:
             self._memory.append(table)
-            return
-        segment = self.directory / f"block-{len(self._segments):06d}.npz"
-        np.savez(
-            segment,
-            **{name: getattr(table, name) for name, _ in OUTCOME_FIELDS},
-        )
-        self.spilled_bytes += segment.stat().st_size
-        self._segments.append(segment)
+        else:
+            segment = self.directory / f"block-{len(self._segments):06d}.npz"
+            try:
+                np.savez(
+                    segment,
+                    **{name: getattr(table, name) for name, _ in OUTCOME_FIELDS},
+                )
+            except BaseException:
+                # A failed write (a full disk) may leave a partial file
+                # that no list tracks; remove it so close() leaves none.
+                segment.unlink(missing_ok=True)
+                raise
+            self.spilled_bytes += segment.stat().st_size
+            self._segments.append(segment)
+        self._n_rows += len(table)
 
     def blocks(self) -> Iterator[OutcomeTable]:
         """Stream the blocks back in append (completion) order.
@@ -106,11 +113,14 @@ class OutcomeSpillStore:
             yield from self._memory
             return
         for segment in self._segments:
-            with np.load(segment) as data:
-                yield OutcomeTable(
-                    self.machines,
-                    **{name: data[name] for name, _ in OUTCOME_FIELDS},
-                )
+            try:
+                with np.load(segment) as data:
+                    columns = {name: data[name] for name, _ in OUTCOME_FIELDS}
+            except (OSError, ValueError, KeyError, EOFError, BadZipFile) as exc:
+                raise ValueError(
+                    f"spill segment {segment} is truncated or corrupt: {exc}"
+                ) from exc
+            yield OutcomeTable(self.machines, **columns)
 
     def materialize(self) -> OutcomeTable:
         """Concatenate every block into one in-memory table.

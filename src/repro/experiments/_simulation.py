@@ -13,9 +13,10 @@ Batched / parallel architecture
 -------------------------------
 :func:`policy_sweep` no longer loops policies serially: it builds the
 eight-task grid and hands it to :class:`~repro.sim.sweep.SweepRunner`,
-which fans the simulations across a process pool (workers resolved from
-the CLI's ``--jobs``, ``REPRO_SWEEP_WORKERS``, or the CPU count) while
-sharing the memoized scenario + workload with every worker via fork.
+which fans the simulations across the sweep service's worker pool
+(workers resolved from the CLI's ``--jobs``, ``REPRO_SWEEP_WORKERS``,
+or the CPU count) while sharing the memoized scenario + workload with
+every worker via fork.
 Each simulation prices jobs through the columnar pricing core
 (:mod:`repro.accounting.pricing` via :mod:`repro.sim.engine`) and
 returns an array-backed ``SimulationResult`` whose columns travel back
@@ -24,8 +25,7 @@ at ``scale=71_190`` the outcome columns dominate sweep IPC.  The
 runner also builds one shared quote table per (scenario, method,
 scale, seed) in :meth:`~repro.sim.sweep.SweepRunner._warm`, so the
 eight same-workload policy runs price the workload once between them
-instead of once each (``REPRO_SWEEP_KERNEL_CACHE=0`` restores the
-per-task build).  A paper-scale run is
+instead of once each.  A paper-scale run is
 
     python -m repro simulate --scale 71190 --jobs 8
 

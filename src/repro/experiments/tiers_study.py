@@ -8,10 +8,11 @@ baseline.  The report answers the question the paper never ran: do the
 methods stay *fair* — similar charge per unit of requested work across
 users — when the fleet is skewed and stragglers drag runtimes out?
 
-Sweeps run through :class:`~repro.sim.sweep.SweepRunner`, so the study
-doubles as the tiered grid point of the sweep smoke tests: workers may
-be fork, spawn, or forkserver (``REPRO_SWEEP_MP_CONTEXT``) and results
-are bit-identical either way.
+Sweeps run through :class:`~repro.sim.sweep.SweepRunner` on the one
+sweep pool, so the study doubles as the tiered grid point of the sweep
+smoke tests: workers may be fork, spawn, or forkserver (the pool's
+start method, ``REPRO_SWEEP_MP_CONTEXT``) and results are bit-identical
+either way.
 """
 
 from __future__ import annotations

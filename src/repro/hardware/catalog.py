@@ -328,13 +328,6 @@ class MachineCatalog:
                 return node
         raise KeyError(f"unknown CPU node {name!r}")
 
-    def sim_machine(self, name: str) -> NodeSpec:
-        """Return the Section 5 simulation machine called ``name``."""
-        for node in self.sim_machines:
-            if node.name == name:
-                return node
-        raise KeyError(f"unknown simulation machine {name!r}")
-
     def gpu_config(self, model: str, count: int) -> GPUNodeSpec:
         """Return the GPU configuration ``model`` x ``count``."""
         for node in self.gpu_nodes:
@@ -345,10 +338,6 @@ class MachineCatalog:
     @property
     def cpu_node_names(self) -> list[str]:
         return [n.name for n in self.cpu_nodes]
-
-    @property
-    def sim_machine_names(self) -> list[str]:
-        return [n.name for n in self.sim_machines]
 
 
 def cpu_experiment_nodes() -> list[NodeSpec]:

@@ -149,9 +149,3 @@ class EnergyReading:
     energy_unit_j: float = DEFAULT_ENERGY_UNIT_J
 
     window: float = field(default=0.0)
-
-    def package_joules_since(self, earlier: "EnergyReading") -> float:
-        """Package energy accumulated since an earlier reading."""
-        return counter_delta_joules(
-            earlier.package_raw, self.package_raw, self.energy_unit_j
-        )

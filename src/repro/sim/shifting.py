@@ -53,12 +53,6 @@ class ShiftPlan:
     cost_now: float
     cost_at_release: float
 
-    @property
-    def savings_fraction(self) -> float:
-        if self.cost_now <= 0:
-            return 0.0
-        return 1.0 - self.cost_at_release / self.cost_now
-
 
 class TemporalShiftPlanner:
     """Chooses (machine, start delay) minimizing carbon cost.

@@ -1,18 +1,21 @@
-"""Long-lived sweep service: persistent workers + incremental store.
+"""The sweep worker pool: persistent workers, crash retry, result store.
 
-:class:`~repro.sim.sweep.SweepRunner` is a batch engine: one call fans
-a grid over a fresh pool and returns everything at once.  The
-policy-search loops behind the paper's Table 6 and Fig. 7 instead issue
-*streams* of heavily overlapping grids, so this module keeps the
-expensive state alive between submissions:
+This is the one worker pool behind every parallel sweep.
+:meth:`SweepRunner.run <repro.sim.sweep.SweepRunner.run>` opens a
+:class:`SweepService` without a store for one batch and closes it
+before returning.  The policy-search loops behind the paper's Table 6
+and Fig. 7 instead issue *streams* of heavily overlapping grids, so the
+long-lived service (``repro sweep serve``) keeps the expensive state
+alive between submissions:
 
-* a **persistent worker pool** on ``SweepRunner``'s transport (fork /
-  spawn / forkserver processes, shared-memory result return, worker-
-  local quote-table caches that stay warm across tasks);
+* **persistent workers** (fork / spawn / forkserver processes) whose
+  worker-local quote-table caches stay warm across tasks; results come
+  back as shared-memory blocks, and non-fork workers receive the
+  parent's cached quote tables the same way;
 * an **async submission queue**: :meth:`SweepService.submit` returns a
   :class:`SweepSubmission` immediately and results stream through it
   as they land, store hits first;
-* the **content-addressed result store**
+* an optional **content-addressed result store**
   (:class:`~repro.sim.result_store.ResultStore`): every computed grid
   point is persisted under its config fingerprint, so a resubmitted
   grid costs zero simulations and a superset grid computes only the
@@ -27,7 +30,9 @@ once even when a crash races the result message.  A worker that
 *raises* is deterministic — the same inputs would raise again — so the
 error is surfaced through the submission without retrying.  A corrupt
 or truncated store entry is a miss (the store recomputes, never
-crashes — see :mod:`repro.sim.result_store`).
+crashes — see :mod:`repro.sim.result_store`).  :meth:`SweepService.close`
+joins every worker and unlinks every shared-memory block the pool
+created; nothing is respawned once it has begun.
 
 Service stats (queue depth, in-flight count, retries, restarts, store
 hit/miss/eviction counters) surface through :meth:`SweepService.stats`
@@ -40,27 +45,32 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import queue
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import IO, Any, Callable, Iterator, Mapping, Sequence
 
 from repro.accounting.base import AccountingMethod
 from repro.accounting.methods import all_methods, method_by_name
-from repro.accounting.pricing import PricingFingerprint, QuoteTable
+from repro.accounting.pricing import (
+    OutcomeTable,
+    OutcomeTableShm,
+    PricingFingerprint,
+    QuoteTable,
+    QuoteTableCacheStats,
+    QuoteTableKey,
+    QuoteTableShm,
+)
 from repro.sim.engine import SimulationResult, pricing_for_sim_machine
 from repro.sim.policies import standard_policies
 from repro.sim.result_store import ResultStore, ResultStoreStats, task_store_key
 from repro.sim.sweep import (
-    MP_CONTEXT_ENV,
-    SHM_ENV,
+    _QUOTE_TABLES,
     SweepRunner,
     SweepTask,
-    _ResultShm,
-    _result_from_shm,
-    _result_to_shm,
+    _cache_delta,
+    resolve_mp_context,
     resolve_workers,
     sweep_grid,
 )
@@ -103,7 +113,8 @@ class SweepServiceStats:
     queue_depth: int
     in_flight: int
     workers: int
-    store: ResultStoreStats
+    #: ``None`` for a pool without a result store.
+    store: ResultStoreStats | None
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -117,7 +128,7 @@ class SweepServiceStats:
             "queue_depth": self.queue_depth,
             "in_flight": self.in_flight,
             "workers": self.workers,
-            "store": self.store.as_dict(),
+            "store": None if self.store is None else self.store.as_dict(),
         }
 
 
@@ -206,6 +217,89 @@ class _Worker:
         self.job: _Job | None = None
 
 
+# ---------------------------------------------------------------------------
+# Result transport
+# ---------------------------------------------------------------------------
+@dataclass(frozen=True, slots=True)
+class _ResultShm:
+    """Picklable envelope a worker ships instead of a pickled result:
+    the :class:`~repro.accounting.pricing.OutcomeTableShm` block
+    descriptor plus the scalar result identity."""
+
+    table: OutcomeTableShm
+    policy: str
+    method: str
+    machines: Sequence[str]
+
+
+def _result_to_shm(result: SimulationResult) -> _ResultShm:
+    """Copy a result's column blocks into one shared-memory block and
+    return the picklable envelope the parent rebuilds it from.
+
+    Blocks are packed one at a time straight off the result's store
+    (:meth:`OutcomeTable.stream_to_shm`), never materialized: spill
+    segments live in the worker's filesystem/tempdir and must not
+    outlive the worker, yet only one block of rows is resident here
+    while the parent receives the full concatenated columns.  The block
+    is handed off: the parent unlinks it after :func:`_result_from_shm`
+    copies out, or when it discards the message."""
+    descriptor = OutcomeTable.stream_to_shm(
+        result.iter_tables(), result.n_jobs, result.store.machines, hand_off=True
+    )
+    return _ResultShm(
+        table=descriptor,
+        policy=result.policy,
+        method=result.method,
+        machines=result.machines,
+    )
+
+
+def _result_from_shm(payload: _ResultShm) -> SimulationResult:
+    """Rebuild a :class:`SimulationResult` from a worker's envelope,
+    copying the columns out and unlinking the shared block."""
+    try:
+        table = OutcomeTable.attach(payload.table)
+    finally:
+        payload.table.unlink()
+    return SimulationResult(
+        policy=payload.policy,
+        method=payload.method,
+        machines=list(payload.machines),
+        table=table,
+    )
+
+
+def _discard(payload: object) -> None:
+    """Unlink the block of a result message nobody will read."""
+    if isinstance(payload, _ResultShm):
+        try:
+            payload.table.unlink()
+        except OSError:
+            pass
+
+
+def _ship_quote_tables() -> dict[QuoteTableKey, QuoteTableShm]:
+    """Pack every quote table in this process's cache into a
+    shared-memory block for a non-fork pool.
+
+    A table whose block cannot be created (shared memory exhausted) is
+    skipped: workers rebuild it, bit-identically.  Reads bypass the
+    cache counters: shipping is transport, not a lookup.
+    """
+    shipped: dict[QuoteTableKey, QuoteTableShm] = {}
+    try:
+        for key, table in list(_QUOTE_TABLES._tables.items()):
+            try:
+                shipped[key] = table.to_shm()
+            except OSError:
+                continue
+    except BaseException:
+        for descriptor in shipped.values():
+            descriptor.unlink()
+        raise
+    return shipped
+
+
 def _service_worker(
     name: str,
     inbox: Any,
@@ -213,35 +307,36 @@ def _service_worker(
     scenario_fn: ScenarioFn,
     workload_fn: WorkloadFn,
     method_fn: MethodFn,
-    use_shm: bool,
+    shipped: Mapping[QuoteTableKey, QuoteTableShm],
 ) -> None:
     """Worker main loop: pull ``(job_id, task)``, push a result message.
 
     Reuses :meth:`SweepRunner.run_task` so the worker-local quote-table
     cache stays warm across every task this worker ever runs (the point
-    of a persistent pool).  Deterministic exceptions are reported as
-    ``error`` messages — the worker itself never dies on a bad task.
+    of a persistent pool).  Each message carries the task's cache
+    counter delta.  Deterministic exceptions are reported as ``error``
+    messages — the worker itself never dies on a bad task.
     """
-    runner = SweepRunner(
-        scenario_fn, workload_fn, method_fn, workers=1, shared_memory=use_shm
-    )
+    runner = SweepRunner(scenario_fn, workload_fn, method_fn, workers=1)
+    runner._shipped = shipped
     while True:
         item = inbox.get()
         if item is None:
             break
         job_id, task = item
+        before = _QUOTE_TABLES.stats()
         try:
             result = runner.run_task(task)
-            payload: object = result
-            if use_shm:
-                try:
-                    payload = _result_to_shm(result)
-                except OSError:
-                    payload = result
+            payload: object
+            try:
+                payload = _result_to_shm(result)
+            except OSError:
+                payload = result
         except Exception as exc:
-            results.put(("error", job_id, name, f"{type(exc).__name__}: {exc}"))
+            message = f"{type(exc).__name__}: {exc}"
+            results.put(("error", job_id, name, message, _cache_delta(before)))
         else:
-            results.put(("ok", job_id, name, payload))
+            results.put(("ok", job_id, name, payload, _cache_delta(before)))
 
 
 class SweepService:
@@ -257,15 +352,17 @@ class SweepService:
         methods).
     store:
         The :class:`~repro.sim.result_store.ResultStore` backing
-        incremental resubmission.
+        incremental resubmission, or ``None`` to persist nothing (the
+        batch pool of :meth:`SweepRunner.run
+        <repro.sim.sweep.SweepRunner.run>`); deduplication and crash
+        retry work either way.
     workers:
         Pool size (``None``: ``REPRO_SWEEP_WORKERS`` or the CPU count).
     mp_context:
         ``"fork"`` / ``"spawn"`` / ``"forkserver"`` (``None``:
-        ``REPRO_SWEEP_MP_CONTEXT`` or the platform default).
-    shared_memory:
-        Ship computed results as shared-memory blocks (``None``:
-        ``REPRO_SWEEP_SHM``, default on).
+        ``REPRO_SWEEP_MP_CONTEXT``, else fork where available).  A
+        non-fork pool ships the quote tables cached in this process to
+        every worker at :meth:`start`.
     max_retries:
         Crash-retry budget per task; attempt ``n`` backs off
         ``retry_backoff_s * 2**(n-1)`` seconds before requeueing.
@@ -277,10 +374,9 @@ class SweepService:
         workload_fn: WorkloadFn,
         method_fn: MethodFn | None = None,
         *,
-        store: ResultStore,
+        store: ResultStore | None,
         workers: int | None = None,
         mp_context: str | None = None,
-        shared_memory: bool | None = None,
         max_retries: int = 2,
         retry_backoff_s: float = 0.05,
     ) -> None:
@@ -289,15 +385,10 @@ class SweepService:
         self.method_fn: MethodFn = method_fn or method_by_name
         self.store = store
         self.workers = resolve_workers(workers)
-        if mp_context is None:
-            mp_context = os.environ.get(MP_CONTEXT_ENV) or None
-        self._ctx = multiprocessing.get_context(mp_context)
-        if shared_memory is None:
-            shared_memory = os.environ.get(SHM_ENV, "1").lower() not in (
-                "0",
-                "false",
-            )
-        self.shared_memory = shared_memory
+        start_method = resolve_mp_context(mp_context)
+        if start_method is None and "fork" in multiprocessing.get_all_start_methods():
+            start_method = "fork"
+        self._ctx = multiprocessing.get_context(start_method)
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self.max_retries = max_retries
@@ -323,6 +414,13 @@ class SweepService:
         self._failed = 0
         self._retries = 0
         self._restarts = 0
+        #: Quote tables shipped to a non-fork pool; unlinked by close().
+        self._shipped: dict[QuoteTableKey, QuoteTableShm] = {}
+        #: Summed quote-table cache traffic the workers reported, one
+        #: counter delta per task message.
+        self.worker_cache_stats = QuoteTableCacheStats(
+            size=0, capacity=_QUOTE_TABLES.capacity, hits=0, misses=0, evictions=0
+        )
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -332,6 +430,8 @@ class SweepService:
                 raise RuntimeError("SweepService is closed")
             if self._dispatcher is not None:
                 return
+            if self._ctx.get_start_method() != "fork":
+                self._shipped = _ship_quote_tables()
             for _ in range(self.workers):
                 self._spawn_worker_locked()
             dispatcher = threading.Thread(
@@ -355,7 +455,7 @@ class SweepService:
                 self.scenario_fn,
                 self.workload_fn,
                 self.method_fn,
-                self.shared_memory,
+                self._shipped,
             ),
             name=f"repro-sweep-{name}",
             daemon=True,
@@ -366,23 +466,12 @@ class SweepService:
         self._idle.append(name)
         return worker
 
-    def warm(self, tasks: Sequence[SweepTask]) -> None:
-        """Pre-build the grid's workloads and quote tables in-process.
-
-        Useful before :meth:`start` under the fork context: workers
-        then inherit every warmed table copy-on-write.  Harmless (just
-        not shared) once workers exist or under spawn.
-        """
-        runner = SweepRunner(
-            self.scenario_fn, self.workload_fn, self.method_fn, workers=1
-        )
-        runner._warm(tasks)
-
     def close(self, timeout: float = 10.0) -> None:
         """Stop workers and the dispatcher; fail outstanding jobs.
 
-        Idempotent.  Queued shared-memory result blocks that never got
-        delivered are unlinked here so nothing outlives the service.
+        Idempotent.  Every worker is joined, and the shipped quote
+        tables and any undelivered result blocks are unlinked, so
+        nothing outlives the service.
         """
         with self._lock:
             if self._closed:
@@ -410,10 +499,22 @@ class SweepService:
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
+            # Stop the inbox's feeder thread so the queue's semaphores
+            # are freed with the service, not at interpreter exit.
+            worker.inbox.close()
+            worker.inbox.join_thread()
         self._drain_result_queue()
+        self._results_q.close()
+        shipped, self._shipped = self._shipped, {}
+        for descriptor in shipped.values():
+            descriptor.unlink()
 
     def __enter__(self) -> SweepService:
-        self.start()
+        try:
+            self.start()
+        except BaseException:
+            self.close()
+            raise
         return self
 
     def __exit__(self, *exc_info: object) -> None:
@@ -426,12 +527,7 @@ class SweepService:
                 message = self._results_q.get_nowait()
             except (queue.Empty, OSError, ValueError):
                 return
-            payload = message[3]
-            if isinstance(payload, _ResultShm):
-                try:
-                    payload.table.unlink()
-                except OSError:
-                    pass
+            _discard(message[3])
 
     # -- keying --------------------------------------------------------
     def _pricing_fingerprint(
@@ -468,7 +564,7 @@ class SweepService:
         submission = SweepSubmission(tasks)
         for task in submission.tasks:
             key = self.store_key(task)
-            cached = self.store.get(key)
+            cached = None if self.store is None else self.store.get(key)
             if cached is not None:
                 with self._lock:
                     self._submitted += 1
@@ -528,9 +624,19 @@ class SweepService:
                     worker.job = None
                     self._backlog.appendleft(job)
 
-    def _handle_message(self, message: tuple[str, int, str, object]) -> None:
-        kind, job_id, worker_name, payload = message
+    def _handle_message(
+        self, message: tuple[str, int, str, object, QuoteTableCacheStats]
+    ) -> None:
+        kind, job_id, worker_name, payload, cache = message
         with self._lock:
+            total = self.worker_cache_stats
+            self.worker_cache_stats = replace(
+                total,
+                hits=total.hits + cache.hits,
+                misses=total.misses + cache.misses,
+                evictions=total.evictions + cache.evictions,
+                shm_attached=total.shm_attached + cache.shm_attached,
+            )
             worker = self._workers.get(worker_name)
             if (
                 worker is not None
@@ -540,14 +646,13 @@ class SweepService:
                 worker.job = None
                 self._idle.append(worker_name)
             job = self._jobs.get(job_id)
+        # Hand the freed worker its next task before copying this result
+        # out, so the worker does not wait on the copy.
+        self._assign_ready()
         if job is None or job.resolved:
             # A crash-retry raced the original result message: the job
             # already resolved, so just free the duplicate's block.
-            if isinstance(payload, _ResultShm):
-                try:
-                    payload.table.unlink()
-                except OSError:
-                    pass
+            _discard(payload)
             return
         if kind == "ok":
             if isinstance(payload, _ResultShm):
@@ -555,10 +660,11 @@ class SweepService:
             else:
                 assert isinstance(payload, SimulationResult)
                 result = payload
-            try:
-                self.store.put(job.key, result)
-            except OSError:
-                pass  # a full/read-only store must not fail the sweep
+            if self.store is not None:
+                try:
+                    self.store.put(job.key, result)
+                except OSError:
+                    pass  # a full/read-only store must not fail the sweep
             self._resolve(job, result=result)
         else:
             # Deterministic worker exception: the same inputs would
@@ -566,9 +672,15 @@ class SweepService:
             self._resolve(job, error=str(payload))
 
     def _reap_dead_workers(self) -> None:
-        """Crash detection: replace dead workers, retry their tasks."""
+        """Crash detection: replace dead workers, retry their tasks.
+
+        Once :meth:`close` has begun, workers exit on purpose and none
+        is replaced.
+        """
         orphans: list[_Job] = []
         with self._lock:
+            if self._stop.is_set():
+                return
             dead = [
                 worker
                 for worker in self._workers.values()
@@ -661,7 +773,7 @@ class SweepService:
                 queue_depth=len(self._backlog),
                 in_flight=in_flight,
                 workers=len(self._workers),
-                store=self.store.stats(),
+                store=None if self.store is None else self.store.stats(),
             )
         return snapshot
 
@@ -716,7 +828,7 @@ def serve_stdio(
         {
             "event": "ready",
             "workers": service.workers,
-            "store": str(service.store.root),
+            "store": None if service.store is None else str(service.store.root),
         }
     )
     try:

@@ -279,12 +279,3 @@ class Game:
         """The "End Game" button."""
         self.ended = True
 
-    # ------------------------------------------------------------------
-    def has_affordable_move(self) -> bool:
-        """True if any visible job can still be scheduled somewhere."""
-        return any(
-            self.can_schedule(job.job_id, m)
-            for job in self._visible
-            for m in job.machines
-        )
-

@@ -50,18 +50,6 @@ class Respondent:
     fig2: dict[str, int]  # factor -> 1/2/3
 
 
-def _spread(
-    rng: np.random.Generator, n_total: int, flags: dict[str, int]
-) -> dict[str, np.ndarray]:
-    """Boolean columns with exact popcounts, randomly placed."""
-    out = {}
-    for name, count in flags.items():
-        col = np.zeros(n_total, dtype=bool)
-        col[rng.choice(n_total, size=count, replace=False)] = True
-        out[name] = col
-    return out
-
-
 def _categorical(
     rng: np.random.Generator, n_total: int, counts: dict[str, int], fill: str
 ) -> np.ndarray:

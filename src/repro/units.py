@@ -41,11 +41,6 @@ def kwh_to_joules(kwh: float) -> float:
     return kwh * JOULES_PER_KWH
 
 
-def joules_to_wh(joules: float) -> float:
-    """Convert joules to watt-hours."""
-    return joules / JOULES_PER_WH
-
-
 def wh_to_joules(wh: float) -> float:
     """Convert watt-hours to joules."""
     return wh * JOULES_PER_WH

@@ -225,6 +225,43 @@ class TestSpillStore:
         assert store.spilled_bytes == 0
         assert len(store.materialize()) == 4
 
+    @pytest.mark.parametrize("defect", ["row_count", "partial_file", "truncated"])
+    def test_failing_write_and_truncated_segment(
+        self, tmp_path, monkeypatch, defect
+    ):
+        """A full disk mid-append leaves neither a miscounted store nor a
+        stray partial segment; a truncated segment reads back as an error
+        that names its file."""
+        import errno
+        import re
+
+        import repro.accounting.spill as spill
+
+        store = OutcomeSpillStore(["A"], directory=tmp_path)
+        store.append(self._table(["A"], 5))
+        if defect == "truncated":
+            segment = next(tmp_path.glob("block-*.npz"))
+            segment.write_bytes(segment.read_bytes()[:40])
+            with pytest.raises(ValueError, match=re.escape(str(segment))):
+                list(store.blocks())
+            store.close()
+            return
+
+        def disk_full(path, **columns):
+            with open(path, "wb") as fh:
+                fh.write(b"PK\x03\x04partial")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(spill.np, "savez", disk_full)
+        with pytest.raises(OSError):
+            store.append(self._table(["A"], 5, seed=1))
+        if defect == "row_count":
+            assert len(store) == 5
+            assert store.n_blocks == 1
+        else:
+            store.close()
+            assert not any(tmp_path.iterdir())
+
 
 class TestSpillCleanupOnError:
     def test_mid_flight_failure_unlinks_spilled_blocks(

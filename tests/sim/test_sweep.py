@@ -5,8 +5,10 @@ results: same outcomes, same order, same floats as the per-record serial
 reference — the seed-loop port in ``seed_oracle.py``.
 """
 
+import errno
 import multiprocessing
 import os
+import signal
 
 import pytest
 
@@ -24,7 +26,6 @@ from repro.sim.sweep import (
     DEFAULT_KERNEL_CACHE_SIZE,
     SweepRunner,
     SweepTask,
-    _resolve_cache_capacity,
     clear_quote_tables,
     policy_by_name,
     resolve_workers,
@@ -42,9 +43,18 @@ SEED = 5
 #: level so spawn workers (which re-import this module) see it too.
 _WORKLOAD_SENTINEL_ENV = "REPRO_TEST_WORKLOAD_CALLS"
 
+#: Env vars of the worker-killing scenario builder: the marker file it
+#: creates before killing its own process (so exactly one worker dies)
+#: and the pid that must survive (the test process itself).
+_KILL_MARKER_ENV = "REPRO_TEST_KILL_MARKER"
+_PARENT_PID_ENV = "REPRO_TEST_PARENT_PID"
+
 requires_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="platform has no fork start method",
+)
+requires_dev_shm = pytest.mark.skipif(
+    not os.path.isdir("/dev/shm"), reason="no /dev/shm to list"
 )
 
 
@@ -58,6 +68,23 @@ def _sentinel_workload(scenario_name, scale, seed):
     from repro.experiments._simulation import workload
 
     return workload(scenario_name, scale, seed)
+
+
+def _killing_scenario(scenario_name, seed):
+    """Module-level (spawn-picklable) scenario builder that SIGKILLs the
+    first pool worker to call it, mid-task.  Every task calls it in
+    its worker, under any start method."""
+    marker = os.environ.get(_KILL_MARKER_ENV)
+    if marker and os.getpid() != int(os.environ[_PARENT_PID_ENV]):
+        try:
+            open(marker, "x").close()
+        except FileExistsError:
+            pass
+        else:
+            os.kill(os.getpid(), signal.SIGKILL)
+    from repro.experiments._simulation import scenario
+
+    return scenario(scenario_name, seed)
 
 
 @pytest.fixture(autouse=True, params=["platform", "spawn"])
@@ -183,7 +210,7 @@ class TestSharedMemoryReturn:
     """Pickle-free result transport: byte-identical to pickled returns."""
 
     def test_shm_round_trip_preserves_result(self, sweep_fns):
-        from repro.sim.sweep import _result_from_shm, _result_to_shm
+        from repro.sim.sweep_service import _result_from_shm, _result_to_shm
 
         scenario, workload, method_for = sweep_fns
         runner = SweepRunner(scenario, workload, method_for, workers=1)
@@ -196,62 +223,20 @@ class TestSharedMemoryReturn:
         assert clone.machines == original.machines
         assert clone.outcomes == original.outcomes
 
-    def test_parallel_shm_matches_pickled(self, sweep_fns):
-        scenario, workload, method_for = sweep_fns
-        tasks = [
-            SweepTask("baseline", p.name, "EBA", SCALE, SEED)
-            for p in standard_policies()[:3]
-        ]
-        with_shm = SweepRunner(
-            scenario, workload, method_for, workers=2, shared_memory=True
-        ).run(tasks)
-        pickled = SweepRunner(
-            scenario, workload, method_for, workers=2, shared_memory=False
-        ).run(tasks)
-        for task in tasks:
-            assert with_shm[task].outcomes == pickled[task].outcomes
-
-    def test_env_knob_disables_shm(self, sweep_fns, monkeypatch):
-        scenario, workload, method_for = sweep_fns
-        monkeypatch.setenv("REPRO_SWEEP_SHM", "0")
-        assert not SweepRunner(scenario, workload, method_for).shared_memory
-        monkeypatch.delenv("REPRO_SWEEP_SHM")
-        assert SweepRunner(scenario, workload, method_for).shared_memory
-
-    def test_env_knob_fallback_path_matches_serial(self, sweep_fns, monkeypatch):
-        """REPRO_SWEEP_SHM=0 through a real pool: the pickled-return
-        fallback must produce bit-identical results."""
-        from repro.experiments._simulation import policy_sweep_serial
-
-        scenario, workload, method_for = sweep_fns
-        monkeypatch.setenv("REPRO_SWEEP_SHM", "0")
-        runner = SweepRunner(scenario, workload, method_for, workers=2)
-        assert not runner.shared_memory
-        tasks = [
-            SweepTask("baseline", p.name, "EBA", SCALE, SEED)
-            for p in standard_policies()[:3]
-        ]
-        results = runner.run(tasks)
-        serial = policy_sweep_serial("baseline", "EBA", SCALE, SEED)
-        for task in tasks:
-            assert results[task].outcomes == serial[task.policy].outcomes
-
     def test_shm_creation_failure_falls_back_to_pickling(
         self, sweep_fns, monkeypatch
     ):
         """A worker that cannot create a shared block returns the result
         itself; the parent must handle the mixed shapes."""
-        import repro.sim.sweep as sweep_mod
+        import repro.sim.sweep_service as service_mod
 
         def broken(result):
             raise OSError("no shared memory on this box")
 
         # Patched before the pool forks, so workers inherit the failure.
-        monkeypatch.setattr(sweep_mod, "_result_to_shm", broken)
+        monkeypatch.setattr(service_mod, "_result_to_shm", broken)
         scenario, workload, method_for = sweep_fns
-        runner = SweepRunner(
-            scenario, workload, method_for, workers=2, shared_memory=True
-        )
+        runner = SweepRunner(scenario, workload, method_for, workers=2)
         tasks = [
             SweepTask("baseline", p.name, "EBA", SCALE, SEED)
             for p in standard_policies()[:2]
@@ -264,44 +249,10 @@ class TestSharedMemoryReturn:
 class TestKernelCache:
     """Cross-run quote-table sharing: bit-identical, built once."""
 
-    def test_cache_on_matches_cache_off_exactly(self, sweep_fns):
-        scenario, workload, method_for = sweep_fns
-        tasks = [
-            SweepTask("baseline", p.name, "CBA", SCALE, SEED)
-            for p in standard_policies()
-        ]
-        clear_quote_tables()
-        cached = SweepRunner(
-            scenario, workload, method_for, workers=1, kernel_cache=True
-        ).run(tasks)
-        uncached = SweepRunner(
-            scenario, workload, method_for, workers=1, kernel_cache=False
-        ).run(tasks)
-        for task in tasks:
-            assert cached[task].outcomes == uncached[task].outcomes
-
-    def test_parallel_cache_matches_serial(self, sweep_fns):
-        scenario, workload, method_for = sweep_fns
-        tasks = [
-            SweepTask("baseline", p.name, "EBA", SCALE, SEED)
-            for p in standard_policies()[:4]
-        ]
-        clear_quote_tables()
-        parallel = SweepRunner(
-            scenario, workload, method_for, workers=2, kernel_cache=True
-        ).run(tasks)
-        serial = SweepRunner(
-            scenario, workload, method_for, workers=1, kernel_cache=False
-        ).run(tasks)
-        for task in tasks:
-            assert parallel[task].outcomes == serial[task].outcomes
-
     def test_warm_builds_one_table_per_distinct_config(self, sweep_fns):
         scenario, workload, method_for = sweep_fns
         clear_quote_tables()
-        runner = SweepRunner(
-            scenario, workload, method_for, workers=1, kernel_cache=True
-        )
+        runner = SweepRunner(scenario, workload, method_for, workers=1)
         tasks = [
             SweepTask("baseline", p.name, "EBA", SCALE, SEED)
             for p in standard_policies()
@@ -316,30 +267,6 @@ class TestKernelCache:
         assert len(_QUOTE_TABLES) == 2
         clear_quote_tables()
 
-    def test_env_knob_disables_kernel_cache(self, sweep_fns, monkeypatch):
-        scenario, workload, method_for = sweep_fns
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL_CACHE", "0")
-        assert not SweepRunner(scenario, workload, method_for).kernel_cache
-        monkeypatch.delenv("REPRO_SWEEP_KERNEL_CACHE")
-        assert SweepRunner(scenario, workload, method_for).kernel_cache
-
-    def test_kernel_cache_opt_out_bypasses_cache_entirely(self, sweep_fns):
-        """kernel_cache=False (the REPRO_SWEEP_KERNEL_CACHE=0 path) must
-        generate zero cache traffic, not merely ignore hits."""
-        scenario, workload, method_for = sweep_fns
-        clear_quote_tables()
-        runner = SweepRunner(
-            scenario, workload, method_for, workers=1, kernel_cache=False
-        )
-        tasks = [
-            SweepTask("baseline", p.name, "EBA", SCALE, SEED)
-            for p in standard_policies()[:2]
-        ]
-        runner.run(tasks)
-        assert len(_QUOTE_TABLES) == 0
-        stats = runner.last_cache_stats
-        assert (stats.hits, stats.misses, stats.evictions) == (0, 0, 0)
-
 
 class TestKernelCacheLRU:
     """The bounded cache under sweeps wider than its capacity."""
@@ -350,7 +277,7 @@ class TestKernelCacheLRU:
         clear_quote_tables()
         set_quote_table_capacity(2)
         yield
-        set_quote_table_capacity(_resolve_cache_capacity())
+        set_quote_table_capacity(DEFAULT_KERNEL_CACHE_SIZE)
         clear_quote_tables()
 
     def _wide_tasks(self):
@@ -368,29 +295,28 @@ class TestKernelCacheLRU:
     ):
         scenario, workload, method_for = sweep_fns
         tasks = self._wide_tasks()
-        bounded = SweepRunner(
-            scenario, workload, method_for, workers=1, kernel_cache=True
-        )
+        bounded = SweepRunner(scenario, workload, method_for, workers=1)
         with pytest.warns(RuntimeWarning, match="distinct quote tables"):
             results = bounded.run(tasks)
         stats = bounded.last_cache_stats
         assert len(_QUOTE_TABLES) <= 2
         assert stats.size <= 2 and stats.capacity == 2
         assert stats.evictions > 0
-        reference = SweepRunner(
-            scenario, workload, method_for, workers=1, kernel_cache=False
-        ).run(tasks)
         for task in tasks:
-            assert results[task].outcomes == reference[task].outcomes
+            # The engine pricing its own kernel, no cache at all.
+            reference = MultiClusterSimulator(
+                dict(scenario(task.scenario, task.seed)),
+                method_for(task.method),
+                policy_by_name(task.policy),
+            ).run(workload(task.scenario, task.scale, task.seed))
+            assert results[task].outcomes == reference.outcomes
 
     def test_stats_surfaced_per_run(self, sweep_fns):
         """Unbounded enough for the working set: the warm phase builds
         each distinct table once (misses), every task then hits."""
         scenario, workload, method_for = sweep_fns
         clear_quote_tables()
-        runner = SweepRunner(
-            scenario, workload, method_for, workers=1, kernel_cache=True
-        )
+        runner = SweepRunner(scenario, workload, method_for, workers=1)
         tasks = [
             SweepTask("baseline", p.name, method, SCALE, SEED)
             for method in ("EBA", "CBA")
@@ -404,37 +330,27 @@ class TestKernelCacheLRU:
         assert runner.cache_stats().size == 2
         clear_quote_tables()
 
-    def test_capacity_resolution_from_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_KERNEL_CACHE_SIZE", raising=False)
-        assert _resolve_cache_capacity() == DEFAULT_KERNEL_CACHE_SIZE
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL_CACHE_SIZE", "7")
-        assert _resolve_cache_capacity() == 7
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL_CACHE_SIZE", "0")
-        assert _resolve_cache_capacity() is None
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL_CACHE_SIZE", "-1")
-        assert _resolve_cache_capacity() is None
-        monkeypatch.setenv("REPRO_SWEEP_KERNEL_CACHE_SIZE", "bogus")
-        with pytest.warns(RuntimeWarning, match="KERNEL_CACHE_SIZE"):
-            assert _resolve_cache_capacity() == DEFAULT_KERNEL_CACHE_SIZE
-
 
 class TestSpawnContext:
     """The ``mp_context=`` knob: spawn pools must attach shipped quote
     tables and reconstruct workloads from them — bit-identical to fork,
     with zero worker-side workload regeneration."""
 
+    @pytest.fixture(autouse=True)
+    def mp_start_method(self, monkeypatch):
+        """These tests pick their start method themselves, so they run
+        once instead of under both module-level parametrizations."""
+        monkeypatch.delenv("REPRO_SWEEP_MP_CONTEXT", raising=False)
+
     def test_mp_context_resolution_and_validation(self, sweep_fns, monkeypatch):
         scenario, workload, method_for = sweep_fns
-        monkeypatch.delenv("REPRO_SWEEP_MP_CONTEXT", raising=False)
         assert SweepRunner(scenario, workload, method_for).mp_context is None
         monkeypatch.setenv("REPRO_SWEEP_MP_CONTEXT", "spawn")
         assert SweepRunner(scenario, workload, method_for).mp_context == "spawn"
         # Explicit argument beats the environment.
         assert (
-            SweepRunner(
-                scenario, workload, method_for, mp_context="spawn"
-            ).mp_context
-            == "spawn"
+            SweepRunner(scenario, workload, method_for, mp_context="fork").mp_context
+            == "fork"
         )
         with pytest.raises(ValueError, match="start method"):
             SweepRunner(scenario, workload, method_for, mp_context="bogus")
@@ -456,12 +372,7 @@ class TestSpawnContext:
             for p in standard_policies()[:4]
         ]
         spawn_runner = SweepRunner(
-            scenario,
-            _sentinel_workload,
-            method_for,
-            workers=2,
-            mp_context="spawn",
-            kernel_cache=True,
+            scenario, _sentinel_workload, method_for, workers=2, mp_context="spawn"
         )
         spawn_results = spawn_runner.run(tasks)
         worker = spawn_runner.last_worker_cache_stats
@@ -475,12 +386,7 @@ class TestSpawnContext:
         assert spawn_pids == {str(os.getpid())}
         clear_quote_tables()
         fork_runner = SweepRunner(
-            scenario,
-            _sentinel_workload,
-            method_for,
-            workers=2,
-            mp_context="fork",
-            kernel_cache=True,
+            scenario, _sentinel_workload, method_for, workers=2, mp_context="fork"
         )
         fork_results = fork_runner.run(tasks)
         # Fork workers inherit the warmed cache: pure hits, no attaches.
@@ -491,68 +397,144 @@ class TestSpawnContext:
             assert spawn_results[task].outcomes == fork_results[task].outcomes
         clear_quote_tables()
 
-    def test_spawn_cache_opt_out_regenerates_per_worker(
-        self, monkeypatch, tmp_path
-    ):
-        """REPRO_SWEEP_KERNEL_CACHE=0 restores the old spawn behaviour —
-        workers regenerate workloads themselves — and stays correct."""
-        from repro.experiments._simulation import method_for, scenario
-
-        sentinel = tmp_path / "workload-calls"
-        monkeypatch.setenv(_WORKLOAD_SENTINEL_ENV, str(sentinel))
-        tasks = [
-            SweepTask("baseline", p.name, "EBA", SCALE, SEED)
-            for p in standard_policies()[:2]
-        ]
-        runner = SweepRunner(
-            scenario,
-            _sentinel_workload,
-            method_for,
-            workers=2,
-            mp_context="spawn",
-            kernel_cache=False,
-        )
-        results = runner.run(tasks)
-        worker = runner.last_worker_cache_stats
-        assert (worker.hits, worker.misses, worker.shm_attached) == (0, 0, 0)
-        pids = set(sentinel.read_text().split())
-        assert str(os.getpid()) in pids
-        assert len(pids) >= 2  # at least one worker regenerated
-        reference = SweepRunner(
-            scenario, _sentinel_workload, method_for, workers=1,
-            kernel_cache=False,
-        ).run(tasks)
-        for task in tasks:
-            assert results[task].outcomes == reference[task].outcomes
-
     def test_spawn_shipping_unlinks_blocks_after_run(self, monkeypatch):
-        """The parent owns the shipped blocks: after a run none remain
-        linked (``_shipped`` drained, descriptors unlinked)."""
+        """The pool owns the shipped blocks: after a run none remain
+        linked."""
         from multiprocessing import shared_memory
 
+        from repro.accounting.pricing import QuoteTable
         from repro.experiments._simulation import method_for, scenario, workload
 
+        shipped = []
+        to_shm = QuoteTable.to_shm
+
+        def recording(table):
+            descriptor = to_shm(table)
+            shipped.append(descriptor.shm_name)
+            return descriptor
+
+        monkeypatch.setattr(QuoteTable, "to_shm", recording)
         clear_quote_tables()
         tasks = [
             SweepTask("baseline", p.name, "EBA", SCALE, SEED)
             for p in standard_policies()[:2]
         ]
-        runner = SweepRunner(
-            scenario, workload, method_for, workers=2,
-            mp_context="spawn", kernel_cache=True,
-        )
-        runner._warm(tasks)
-        runner._ship_tables(tasks)
-        assert len(runner._shipped) == 1  # 2 tasks share one table
-        names = [d.shm_name for d in runner._shipped.values()]
-        runner._release_shipped()
-        assert runner._shipped == {}
-        for name in names:
+        SweepRunner(
+            scenario, workload, method_for, workers=2, mp_context="spawn"
+        ).run(tasks)
+        assert len(shipped) == 1  # 2 tasks share one table
+        for name in shipped:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
-        runner.run(tasks)  # the full path drains the dict too
-        assert runner._shipped == {}
         clear_quote_tables()
+
+    @requires_dev_shm
+    def test_unshippable_table_is_rebuilt_by_workers(self, monkeypatch):
+        """Shared memory runs out while shipping the 2nd of two tables:
+        the sweep still completes, the workers rebuild that table with
+        the same bits, and no block outlives the run."""
+        from repro.accounting.pricing import QuoteTable
+        from repro.experiments._simulation import method_for, scenario, workload
+
+        calls = []
+        to_shm = QuoteTable.to_shm
+
+        def exhausted(table):
+            calls.append(table)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return to_shm(table)
+
+        monkeypatch.setattr(QuoteTable, "to_shm", exhausted)
+        clear_quote_tables()
+        before = set(os.listdir("/dev/shm"))
+        tasks = [
+            SweepTask("baseline", policy, method, SCALE, SEED)
+            for method in ("EBA", "CBA")
+            for policy in ("Greedy", "EFT")
+        ]
+        results = SweepRunner(
+            scenario, workload, method_for, workers=2, mp_context="spawn"
+        ).run(tasks)
+        assert len(calls) == 2
+        assert set(os.listdir("/dev/shm")) == before
+        serial = SweepRunner(scenario, workload, method_for, workers=1).run(tasks)
+        for task in tasks:
+            assert results[task].outcomes == serial[task].outcomes
+        clear_quote_tables()
+
+
+class TestOnePool:
+    """Every parallel sweep runs on the sweep service's pool, so a plain
+    runner gets its crash retry and leaves nothing behind."""
+
+    @pytest.fixture()
+    def closed_pools(self, monkeypatch):
+        """Service stats of every pool, recorded as it closes."""
+        from repro.sim.sweep_service import SweepService
+
+        closed = []
+        close = SweepService.close
+
+        def recording(service, *args, **kwargs):
+            close(service, *args, **kwargs)
+            closed.append(service.stats())
+
+        monkeypatch.setattr(SweepService, "close", recording)
+        return closed
+
+    def _tasks(self):
+        return [
+            SweepTask("baseline", p.name, "EBA", SCALE, SEED)
+            for p in standard_policies()[:4]
+        ]
+
+    def test_pool_closes_without_orphans(self, sweep_fns, closed_pools):
+        scenario, workload, method_for = sweep_fns
+        SweepRunner(scenario, workload, method_for, workers=2).run(self._tasks())
+        assert multiprocessing.active_children() == []
+        [stats] = closed_pools
+        assert stats.worker_restarts == 0 and stats.workers == 2
+
+    def test_killed_worker_is_retried_once(
+        self, sweep_fns, closed_pools, monkeypatch, tmp_path
+    ):
+        """SIGKILL of one worker mid-task: the task runs again on a
+        replacement worker and the results equal serial bit for bit."""
+        _, workload, method_for = sweep_fns
+        monkeypatch.setenv(_KILL_MARKER_ENV, str(tmp_path / "killed"))
+        monkeypatch.setenv(_PARENT_PID_ENV, str(os.getpid()))
+        tasks = self._tasks()
+        results = SweepRunner(
+            _killing_scenario, workload, method_for, workers=2
+        ).run(tasks)
+        assert (tmp_path / "killed").exists()
+        [stats] = closed_pools
+        assert (stats.retries, stats.worker_restarts) == (1, 1)
+        assert stats.computed == len(tasks) and stats.failed == 0
+        assert multiprocessing.active_children() == []
+        serial = SweepRunner(
+            _killing_scenario, workload, method_for, workers=1
+        ).run(tasks)
+        for task in tasks:
+            assert results[task].outcomes == serial[task].outcomes
+
+    def test_raising_task_is_not_retried(self, sweep_fns, closed_pools):
+        """A task that raises would raise again: it is attempted once,
+        and the sweep fails with its error."""
+        from repro.sim.sweep_service import SweepTaskError
+
+        scenario, workload, method_for = sweep_fns
+        tasks = self._tasks()[:1] + [
+            SweepTask("baseline", "NoSuchPolicy", "EBA", SCALE, SEED)
+        ]
+        runner = SweepRunner(scenario, workload, method_for, workers=2)
+        with pytest.raises(SweepTaskError, match="NoSuchPolicy"):
+            runner.run(tasks)
+        [stats] = closed_pools
+        assert stats.failed >= 1
+        assert (stats.retries, stats.worker_restarts) == (0, 0)
+        assert multiprocessing.active_children() == []
 
 
 class TestKnobs:

@@ -228,6 +228,14 @@ class TestFailureHandling:
             block.unlink()
             service.close()
 
+    def test_close_leaves_no_orphan_workers(self, tmp_path):
+        """Workers exiting on close() are not mistaken for crashes and
+        respawned."""
+        with _service(tmp_path) as service:
+            service.run(_grid(BASE_POLICIES)[:2])
+        assert multiprocessing.active_children() == []
+        assert service.stats().worker_restarts == 0
+
     def test_negative_retry_budget_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_retries"):
             _service(tmp_path, max_retries=-1)
