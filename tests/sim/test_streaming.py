@@ -262,6 +262,37 @@ class TestSpillStore:
             store.close()
             assert not any(tmp_path.iterdir())
 
+    def test_append_after_failed_write_resumes(self, tmp_path, monkeypatch):
+        """Once the disk has room again the store carries on: the next
+        segment takes the failed one's place and every row reads back."""
+        import errno
+
+        import repro.accounting.spill as spill
+
+        first = self._table(["A"], 5, seed=1)
+        second = self._table(["A"], 3, seed=2)
+        with OutcomeSpillStore(["A"], directory=tmp_path) as store:
+            store.append(first)
+            with monkeypatch.context() as patch:
+
+                def disk_full(path, **columns):
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+                patch.setattr(spill.np, "savez", disk_full)
+                with pytest.raises(OSError):
+                    store.append(self._table(["A"], 4, seed=3))
+            store.append(second)
+            assert (len(store), store.n_blocks) == (8, 2)
+            merged = store.materialize()
+            for field, _ in OUTCOME_FIELDS:
+                assert np.array_equal(
+                    getattr(merged, field),
+                    np.concatenate(
+                        [getattr(first, field), getattr(second, field)]
+                    ),
+                )
+        assert not any(tmp_path.iterdir())
+
 
 class TestSpillCleanupOnError:
     def test_mid_flight_failure_unlinks_spilled_blocks(

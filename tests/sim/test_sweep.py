@@ -249,6 +249,89 @@ class TestSharedMemoryReturn:
 class TestKernelCache:
     """Cross-run quote-table sharing: bit-identical, built once."""
 
+    def test_cache_on_matches_cache_off_exactly(self, sweep_fns):
+        """Tasks priced from the shared quote table against the engine
+        pricing its own kernel, with no cache at all."""
+        scenario, workload, method_for = sweep_fns
+        tasks = [
+            SweepTask("baseline", p.name, "CBA", SCALE, SEED)
+            for p in standard_policies()
+        ]
+        clear_quote_tables()
+        cached = SweepRunner(scenario, workload, method_for, workers=1).run(tasks)
+        for task in tasks:
+            uncached = MultiClusterSimulator(
+                dict(scenario(task.scenario, task.seed)),
+                method_for(task.method),
+                policy_by_name(task.policy),
+            ).run(workload(task.scenario, task.scale, task.seed))
+            assert cached[task].outcomes == uncached.outcomes
+        clear_quote_tables()
+
+    def test_parallel_cache_matches_serial(self, sweep_fns):
+        """Pool workers price from the warmed tables (inherited under
+        fork, attached under spawn) and never rebuild one."""
+        scenario, workload, method_for = sweep_fns
+        tasks = [
+            SweepTask("baseline", p.name, "EBA", SCALE, SEED)
+            for p in standard_policies()[:4]
+        ]
+        clear_quote_tables()
+        runner = SweepRunner(scenario, workload, method_for, workers=2)
+        parallel = runner.run(tasks)
+        worker = runner.last_worker_cache_stats
+        assert worker.hits + worker.misses == len(tasks)
+        assert worker.misses == worker.shm_attached
+        serial = SweepRunner(scenario, workload, method_for, workers=1).run(tasks)
+        for task in tasks:
+            assert parallel[task].outcomes == serial[task].outcomes
+        clear_quote_tables()
+
+    def test_retired_env_knobs_change_nothing(self, sweep_fns, monkeypatch):
+        """``REPRO_SWEEP_SHM`` and ``REPRO_SWEEP_KERNEL_CACHE`` are no
+        longer read: with both at 0 a sweep still shares its table."""
+        scenario, workload, method_for = sweep_fns
+        monkeypatch.setenv("REPRO_SWEEP_SHM", "0")
+        monkeypatch.setenv("REPRO_SWEEP_KERNEL_CACHE", "0")
+        tasks = [
+            SweepTask("baseline", p.name, "EBA", SCALE, SEED)
+            for p in standard_policies()[:2]
+        ]
+        clear_quote_tables()
+        runner = SweepRunner(scenario, workload, method_for, workers=1)
+        runner.run(tasks)
+        assert len(_QUOTE_TABLES) == 1
+        stats = runner.last_cache_stats
+        assert (stats.misses, stats.hits) == (1, len(tasks))
+        clear_quote_tables()
+
+    def test_capacity_is_a_runtime_setting(self, sweep_fns, monkeypatch):
+        """The bound starts at ``DEFAULT_KERNEL_CACHE_SIZE`` whatever the
+        retired size knob says, and moves only through
+        ``set_quote_table_capacity``; shrinking evicts at once."""
+        scenario, workload, method_for = sweep_fns
+        monkeypatch.setenv("REPRO_SWEEP_KERNEL_CACHE_SIZE", "1")
+        clear_quote_tables()
+        runner = SweepRunner(scenario, workload, method_for, workers=1)
+        try:
+            runner.run(
+                [
+                    SweepTask("baseline", "Greedy", method, SCALE, SEED)
+                    for method in ("EBA", "CBA")
+                ]
+            )
+            stats = runner.cache_stats()
+            assert stats.capacity == DEFAULT_KERNEL_CACHE_SIZE
+            assert (stats.size, stats.evictions) == (2, 0)
+            set_quote_table_capacity(1)
+            stats = runner.cache_stats()
+            assert (stats.capacity, stats.size, stats.evictions) == (1, 1, 1)
+            set_quote_table_capacity(None)
+            assert runner.cache_stats().capacity is None
+        finally:
+            set_quote_table_capacity(DEFAULT_KERNEL_CACHE_SIZE)
+            clear_quote_tables()
+
     def test_warm_builds_one_table_per_distinct_config(self, sweep_fns):
         scenario, workload, method_for = sweep_fns
         clear_quote_tables()
@@ -577,3 +660,17 @@ class TestKnobs:
     def test_set_default_workers_rejects_zero(self):
         with pytest.raises(ValueError):
             set_default_workers(0)
+
+    def test_runner_takes_only_workers_and_mp_context(self, sweep_fns):
+        """The transport options are gone from both the runner and the
+        pool; passing one is an error, not a silent no-op."""
+        from repro.sim.sweep_service import SweepService
+
+        scenario, workload, method_for = sweep_fns
+        for retired in ("shared_memory", "kernel_cache"):
+            with pytest.raises(TypeError, match=retired):
+                SweepRunner(scenario, workload, method_for, **{retired: False})
+        with pytest.raises(TypeError, match="shared_memory"):
+            SweepService(
+                scenario, workload, method_for, store=None, shared_memory=False
+            )

@@ -241,6 +241,40 @@ class TestFailureHandling:
             _service(tmp_path, max_retries=-1)
 
 
+class TestStoreless:
+    def test_storeless_pool_dedups_and_persists_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """``store=None``: overlapping submissions still share one
+        computation, and a resubmit computes again because nothing was
+        kept."""
+        from repro.accounting.methods import method_by_name
+        from repro.experiments._simulation import scenario
+
+        block = tmp_path / "block"
+        block.touch()
+        monkeypatch.setenv(_BLOCK_FILE_ENV, str(block))
+        task = SweepTask("baseline", "Greedy", "EBA", SCALE, SEED)
+        with SweepService(
+            scenario, _blocking_workload, method_by_name, store=None, workers=1
+        ) as service:
+            first = service.submit([task])
+            second = service.submit([task])
+            assert len(service._jobs_by_key) == 1
+            block.unlink()
+            a = first.wait(timeout=60)
+            b = second.wait(timeout=60)
+            assert a[task].outcomes == b[task].outcomes
+            again = service.run([task])
+            assert again[task].outcomes == a[task].outcomes
+            stats = service.stats()
+            assert (stats.submitted, stats.computed, stats.from_store) == (3, 2, 0)
+            assert stats.store is None
+            assert service.stats().as_dict()["store"] is None
+        assert multiprocessing.active_children() == []
+        assert not any(tmp_path.iterdir())
+
+
 class TestIntrospection:
     def test_stats_shape(self, tmp_path):
         service = _service(tmp_path)
