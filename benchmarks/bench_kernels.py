@@ -134,6 +134,25 @@ def test_event_loop_throughput(run_once, benchmark):
     assert result.mean_queue_wait_s() > 100 * 3600.0
 
 
+def test_fixed_machine_backlog(run_once, benchmark):
+    """The slowest ``policy_sweep`` cell: every job sent to Theta under
+    EBA, so one machine's queue holds thousands of jobs for most of the
+    run and each scan faces a backlog far past the backfill window —
+    the case an O(queue) scan turns quadratic."""
+    from repro.experiments._simulation import scenario, workload
+    from repro.sim.policies import FixedMachinePolicy
+
+    machines = dict(scenario("baseline", 0))
+    wl = workload("baseline", 6000, 0)  # ~12k jobs after repetition
+    sim = MultiClusterSimulator(
+        machines, EnergyBasedAccounting(), FixedMachinePolicy("Theta")
+    )
+    result = run_once(benchmark, sim.run, wl)
+    assert result.n_jobs == len(wl)
+    # Queue-bound: jobs wait far longer than the machine takes to run them.
+    assert result.mean_queue_wait_s() > 100 * 3600.0
+
+
 def test_migration_throughput_1k_jobs(run_once, benchmark):
     """End-to-end batched migration under CBA (quote table + batched
     probes + deferred segment settlement)."""

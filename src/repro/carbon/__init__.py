@@ -22,7 +22,6 @@ from repro.carbon.embodied import (
     LinearDepreciation,
     DoubleDecliningBalance,
     carbon_rate_per_hour,
-    embodied_carbon_charge,
 )
 from repro.carbon.scarif import ScarifEstimator
 
@@ -37,6 +36,5 @@ __all__ = [
     "LinearDepreciation",
     "DoubleDecliningBalance",
     "carbon_rate_per_hour",
-    "embodied_carbon_charge",
     "ScarifEstimator",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 
-from repro.units import HOURS_PER_YEAR, SECONDS_PER_HOUR
+from repro.units import HOURS_PER_YEAR
 
 
 class DepreciationSchedule(abc.ABC):
@@ -119,23 +119,3 @@ def carbon_rate_per_hour(
     schedule = schedule or DEFAULT_SCHEDULE
     return schedule.rate_per_hour(total_embodied_g, age_years)
 
-
-def embodied_carbon_charge(
-    total_embodied_g: float,
-    age_years: int,
-    duration_s: float,
-    node_share: float = 1.0,
-    schedule: DepreciationSchedule | None = None,
-) -> float:
-    """Embodied carbon (g) attributed to a job.
-
-    ``node_share`` is the fraction of the node the job holds (cores
-    provisioned / cores total; whole-GPU allocations use 1.0 per the
-    paper's GPU policy).
-    """
-    if duration_s < 0:
-        raise ValueError("duration cannot be negative")
-    if not 0.0 <= node_share <= 1.0:
-        raise ValueError("node share must be within [0, 1]")
-    rate = carbon_rate_per_hour(total_embodied_g, age_years, schedule)
-    return rate * (duration_s / SECONDS_PER_HOUR) * node_share

@@ -6,14 +6,24 @@ start only if they fit in the currently free cores (no reservation),
 scanning a bounded window so scheduling stays O(window).
 
 The queue is an **indexed ready-queue**
-(:class:`~repro.sim.events.ReadyQueue`): between scans, every job in the
-backfill window sits in a blocked bucket keyed by (min free cores
-needed, blocking user), so the events that dominate a saturated run — a
-finish that frees too few cores to admit anyone, an arrival that lands
-behind a blocked window — are answered in O(1) instead of rescanning
-the window.  A real scan runs only when the index says some job may
-actually start, and the scan is the seed's exact bounded FCFS+backfill
-loop, so start decisions are bit-identical to always rescanning.
+(:class:`~repro.sim.events.ReadyQueue`): the window is a list of the
+first ``backfill_window`` jobs and the rest wait in a backlog deque.
+A scan walks the window once, in order, starting every job that fits
+under the seed's exact test and filing each job it leaves behind into
+a blocked bucket keyed by (min free cores needed, blocking user) *at
+that moment* — sound, because during a scan free cores only shrink and
+the busy set only grows, so a job blocked when it was visited is still
+blocked when the scan ends.  The scan then tops the window up from the
+backlog, classifying only the jobs that shift in; a shifted-in job is
+never started in the same scan (the seed's scan had already passed its
+slot), and if one fits the queue stays scan-needed, so the next event
+starts it exactly when the seed's always-scan loop would.  A scan thus
+reads at most ``backfill_window`` + (jobs started) jobs, whatever the
+backlog's length.  Between scans the buckets answer the events that
+dominate a saturated run — a finish that frees too few cores to admit
+anyone, an arrival that lands behind a blocked window — in O(1).  Same
+jobs, same order, same test, and only fruitless scans skipped: start
+decisions are bit-identical to always rescanning.
 
 Three machine-specific rules live here:
 
@@ -23,7 +33,7 @@ Three machine-specific rules live here:
   limits): when ``SimMachine.max_concurrent_jobs`` is set, at most that
   many jobs run at once regardless of free cores.  Cap-blocked jobs
   stay in the window, and because the ready-queue index never learns
-  about the cap, ``reindex`` keeps the queue marked scan-needed while a
+  about the cap, a scan leaves the queue marked scan-needed while a
   cores-and-user-startable job waits on a slot — so the next finish
   rescans and no start is ever missed;
 * **queue-time estimation** for the EFT/Mixed policies: expected wait is
@@ -37,7 +47,6 @@ Three machine-specific rules live here:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.sim.events import ReadyQueue
@@ -97,16 +106,6 @@ class ClusterSim:
 
     # ------------------------------------------------------------------
     @property
-    def queue(self) -> deque[Job]:
-        """The pending-job deque (first ``backfill_window`` = the window).
-
-        A *read-only view*: mutating it directly bypasses the ready
-        queue's blocked-bucket index and can leave startable jobs
-        stranded — always add work through :meth:`enqueue`.
-        """
-        return self._ready.jobs
-
-    @property
     def queue_length(self) -> int:
         return len(self._ready)
 
@@ -143,45 +142,51 @@ class ClusterSim:
 
         The indexed fast path: when the ready-queue's blocked buckets
         prove no window job changed state since the last scan, return
-        without touching the queue.  Otherwise run the seed's exact
-        bounded scan and reclassify the window under the post-scan
-        state.
+        without touching the queue.  Otherwise walk the window once —
+        start what fits, bucket what stays — and top it up from the
+        backlog.
         """
         ready = self._ready
-        if not ready.jobs or self.free_cores <= 0:
+        if not ready.window or self.free_cores <= 0:
             return []
         cap = self.max_concurrent
-        if cap is not None and len(self.running) >= cap:
+        running = self.running
+        if cap is not None and len(running) >= cap:
             # Every slot is taken: nothing can start, and the queue's
             # scan-needed flag stays set for the finish that frees one.
             return []
-        if not ready.scan_needed():
+        if ready.synced:
             return []
         started: list[Job] = []
-        scanned = 0
-        queue = ready.jobs
-        remaining: deque[Job] = deque()
+        kept: list[Job] = []
         busy = self._busy_users
-        while queue and scanned < self.backfill_window:
-            job = queue.popleft()
-            scanned += 1
-            if (
-                job.cores <= self.free_cores
-                and job.user not in busy
-                and (cap is None or len(self.running) < cap)
-            ):
+        users = ready.blocked_users
+        users.clear()
+        min_cores = float("inf")
+        synced = True
+        free = self.free_cores
+        for job in ready.window:
+            if job.user in busy:
+                users.add(job.user)
+            elif job.cores > free:
+                if job.cores < min_cores:
+                    min_cores = job.cores
+            elif cap is not None and len(running) >= cap:
+                synced = False  # fits, but waits on a slot
+            else:
                 self._start(job, now)
                 started.append(job)
-            else:
-                remaining.append(job)
-        # Re-attach the unstarted (order-preserved) prefix before the
-        # unscanned tail, then rebuild the blocked buckets.  When nothing
-        # was left behind, ``queue`` (popped in place) is already the
-        # residual deque.
-        if remaining:
-            remaining.extend(queue)
-            ready.jobs = remaining
-        ready.reindex(self.free_cores, busy)
+                free = self.free_cores
+                continue
+            kept.append(job)
+        ready.window = kept
+        ready.min_blocked_cores = min_cores
+        ready.synced = synced
+        # Shift backlog jobs into the slots the starts vacated: pushed
+        # (classified), never started, in this scan.
+        backlog = ready.backlog
+        while backlog and len(kept) < ready.size:
+            ready.push(backlog.popleft(), free, busy)
         return started
 
     def _start(self, job: Job, now: float) -> None:

@@ -470,7 +470,7 @@ class MultiClusterSimulator:
         select = self.policy.select
 
         def try_start(cluster: ClusterSim, now: float) -> None:
-            if not cluster.queue or cluster.free_cores <= 0:
+            if cluster.free_cores <= 0 or not cluster.queue_length:
                 return
             for job in cluster.startable(now):
                 end = cluster.end_time_of(job.job_id)

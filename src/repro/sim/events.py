@@ -20,19 +20,21 @@ the two pieces they now share:
   :meth:`ClusterSim.startable <repro.sim.cluster.ClusterSim.startable>`.
   Semantics are exactly the seed's bounded FCFS + backfill scan (the
   first ``window`` queued jobs, in order, starting every one that
-  fits), but the queue keeps per-cluster blocked buckets keyed by
-  (min free cores needed, blocking user) so a finish or enqueue that
-  provably cannot change any job's state is answered in O(1) instead of
-  O(window) deque churn.  The scan itself is only run — and the buckets
-  rebuilt — when the index says some job may actually start, so results
-  are bit-identical to the always-scan implementation by construction.
+  fits), but the window is a list of its own with the rest of the queue
+  in a backlog deque, so a scan reads O(window) jobs however long the
+  backlog grows.  Per-cluster blocked buckets keyed by (min free cores
+  needed, blocking user) answer a finish or enqueue that provably
+  cannot change any job's state in O(1), so the scan only runs when
+  the index says some job may actually start.  Every scan visits the
+  same jobs in the same order under the same test as the seed's, and
+  the index only skips scans that would start nothing, so results are
+  bit-identical to the always-scan implementation by construction.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from itertools import islice
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -189,11 +191,16 @@ class EventCalendar:
 class ReadyQueue:
     """Bounded FCFS + backfill queue with O(1) blocked-state buckets.
 
-    The queue itself is the seed's deque; the index answers "can the
-    next scan possibly start anything?" without touching it.  Between
-    scans every job inside the backfill window sits in one of two
-    blocked buckets, classified under the state the last scan ended
-    with:
+    The queue is split where the backfill window ends: ``window`` is a
+    list of the first ``size`` queued jobs (the only ones a scan may
+    start) and ``backlog`` a deque of the rest, non-empty only while
+    the window is full.  :meth:`ClusterSim.startable
+    <repro.sim.cluster.ClusterSim.startable>` walks the window list
+    once, starting every job that fits and filing each job it leaves
+    behind into a blocked bucket, then tops the window up from the
+    backlog — O(window) per scan however long the backlog grows.
+
+    Between scans every window job sits in one of two buckets:
 
     * **cores-blocked** — the job's user was idle but the job needs more
       cores than were free; summarised as the *minimum* such need
@@ -207,41 +214,48 @@ class ReadyQueue:
     scan proved every window job blocked and no unindexed change
     happened since.  The owning cluster calls :meth:`push` on enqueue
     and :meth:`note_release` on finish; both either keep the buckets
-    exact in O(1) or clear ``synced`` to force the next scan.  Jobs
-    beyond the window never need indexing — they cannot start until
-    earlier jobs leave, which only happens inside a scan.
+    exact in O(1) or clear ``synced`` to force the next scan.  Backlog
+    jobs never need indexing — they cannot start until earlier jobs
+    leave, which only happens inside a scan.
     """
 
-    __slots__ = ("jobs", "window", "min_blocked_cores", "blocked_users", "synced")
+    __slots__ = (
+        "window",
+        "backlog",
+        "size",
+        "min_blocked_cores",
+        "blocked_users",
+        "synced",
+    )
 
     def __init__(self, window: int) -> None:
         if window < 1:
             raise ValueError("backfill window must be >= 1")
-        self.jobs: deque["Job"] = deque()
-        self.window = window
+        self.window: list["Job"] = []
+        self.backlog: deque["Job"] = deque()
+        self.size = window
         self.min_blocked_cores: float = float("inf")
         self.blocked_users: set[int] = set()
         self.synced = False
 
     def __len__(self) -> int:
-        return len(self.jobs)
-
-    def __bool__(self) -> bool:
-        return bool(self.jobs)
+        return len(self.window) + len(self.backlog)
 
     # ------------------------------------------------------------------
     def push(self, job: "Job", free_cores: int, busy_users: set[int]) -> None:
         """Append ``job`` and classify it against the current state.
 
         Enqueueing changes nothing for jobs already queued, so a synced
-        index stays synced: the new job either lands beyond the window
-        (unreachable until a scan shrinks the queue), joins a blocked
+        index stays synced: the new job either lands in the backlog
+        (unreachable until a scan shrinks the window), joins a blocked
         bucket, or — if it could start right now — clears ``synced`` so
-        the next :meth:`scan_needed` triggers a real scan.
+        the next scan really runs.
         """
-        position = len(self.jobs)
-        self.jobs.append(job)
-        if not self.synced or position >= self.window:
+        if len(self.window) == self.size:
+            self.backlog.append(job)
+            return
+        self.window.append(job)
+        if not self.synced:
             return
         if job.user in busy_users:
             self.blocked_users.add(job.user)
@@ -262,30 +276,3 @@ class ReadyQueue:
             free_cores >= self.min_blocked_cores or user in self.blocked_users
         ):
             self.synced = False
-
-    def scan_needed(self) -> bool:
-        """False when the index proves a scan would start nothing."""
-        return not self.synced
-
-    def reindex(self, free_cores: int, busy_users: set[int]) -> None:
-        """Rebuild the blocked buckets after a scan, under post-scan state.
-
-        Jobs the scan left behind are blocked by construction (free
-        cores only shrank and the busy set only grew while it ran); jobs
-        that shifted into the window when earlier ones started were
-        never examined, so if one of them could start the index stays
-        unsynced and the next event rescans — exactly when the seed's
-        always-scan loop would have started it.
-        """
-        self.blocked_users.clear()
-        self.min_blocked_cores = float("inf")
-        for job in islice(self.jobs, self.window):
-            if job.user in busy_users:
-                self.blocked_users.add(job.user)
-            elif job.cores > free_cores:
-                if job.cores < self.min_blocked_cores:
-                    self.min_blocked_cores = job.cores
-            else:
-                self.synced = False
-                return
-        self.synced = True

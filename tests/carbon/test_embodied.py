@@ -3,11 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.accounting.base import MachinePricing, UsageBatch
+from repro.accounting.methods import CarbonBasedAccounting
 from repro.carbon.embodied import (
     DoubleDecliningBalance,
     LinearDepreciation,
     carbon_rate_per_hour,
-    embodied_carbon_charge,
 )
 from repro.units import HOURS_PER_YEAR
 
@@ -81,24 +82,45 @@ class TestCharges:
             400.0 / HOURS_PER_YEAR
         )
 
-    def test_job_charge_scales_with_share_and_time(self):
-        full = embodied_carbon_charge(1000.0, 0, duration_s=3600.0, node_share=1.0)
-        half = embodied_carbon_charge(1000.0, 0, duration_s=3600.0, node_share=0.5)
-        double = embodied_carbon_charge(1000.0, 0, duration_s=7200.0, node_share=1.0)
+    def test_cba_embodied_charge_scales_with_share_and_time(self):
+        """CBA's ``cost`` holds the only copy of the embodied term: one
+        node-hour at the year-0 rate, linear in share and in duration,
+        and an oversized job's share caps at the whole node."""
+        machine = MachinePricing(
+            name="M",
+            total_cores=128,
+            tdp_watts=750.0,
+            peak_rating=1.0,
+            embodied_carbon_g=1000.0,
+            age_years=0,
+        )
+        batch = UsageBatch(
+            machine="M",
+            duration_s=[3600.0, 3600.0, 7200.0, 3600.0],
+            energy_j=[0.0] * 4,
+            cores=[128, 64, 128, 256],
+            start_time_s=[0.0] * 4,
+        )
+        charges = CarbonBasedAccounting().embodied_charge_many(batch, machine)
+        full, half, double, oversized = charges
+        assert full == pytest.approx(400.0 / HOURS_PER_YEAR)
         assert half == pytest.approx(full / 2)
         assert double == pytest.approx(full * 2)
-
-    def test_rejects_invalid_share(self):
-        with pytest.raises(ValueError):
-            embodied_carbon_charge(1000.0, 0, 3600.0, node_share=1.5)
+        assert oversized == full
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(ValueError):
-            embodied_carbon_charge(-1.0, 0, 3600.0)
+            carbon_rate_per_hour(-1.0, 0)
         with pytest.raises(ValueError):
-            embodied_carbon_charge(1.0, -1, 3600.0)
+            carbon_rate_per_hour(1.0, -1)
         with pytest.raises(ValueError):
-            embodied_carbon_charge(1.0, 0, -3600.0)
+            UsageBatch(
+                machine="M",
+                duration_s=[-3600.0],
+                energy_j=[0.0],
+                cores=[1],
+                start_time_s=[0.0],
+            )
 
     def test_rejects_bad_lifetime(self):
         with pytest.raises(ValueError):

@@ -46,13 +46,33 @@ from seed_oracle import (
 # ---------------------------------------------------------------------------
 # Property test: the indexed ready-queue vs the always-scan cluster
 # ---------------------------------------------------------------------------
+def _queue_ids(cluster: ClusterSim) -> list[int]:
+    """The full queue order of ``cluster``: the window, then the backlog."""
+    ready = cluster._ready
+    return [j.job_id for j in ready.window] + [j.job_id for j in ready.backlog]
+
+
+def _assert_same_state(new: ClusterSim, ref: SeedCluster, now: float) -> None:
+    assert new.free_cores == ref.free_cores
+    assert _queue_ids(new) == [j.job_id for j in ref.queue]
+    assert new.queue_length == len(ref.queue)
+    assert new.estimated_wait_s(now) == ref.estimated_wait_s(now)
+
+
 class TestReadyQueueEquivalence:
+    #: (enqueue below, finish below, steps, least queue length in windows)
+    @pytest.mark.parametrize(
+        "mix",
+        [(0.55, 0.85, 400, 0), (0.9, 0.97, 900, 4)],
+        ids=["balanced", "backlogged"],
+    )
     @pytest.mark.parametrize("window", [1, 2, 7, 64])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("cap", [None, 3], ids=["uncapped", "cap3"])
     def test_random_sequences_match_seed_scan(
-        self, sim_machines, window, seed, cap
+        self, sim_machines, window, seed, cap, mix
     ):
+        enqueue_p, finish_p, steps, outgrows = mix
         machine = dataclasses.replace(
             sim_machines["IC"], max_concurrent_jobs=cap
         )  # 576 cores
@@ -61,10 +81,11 @@ class TestReadyQueueEquivalence:
         ref = SeedCluster(machine, backfill_window=window)
         now = 0.0
         next_id = 0
-        for _ in range(400):
+        longest = 0
+        for _ in range(steps):
             now += rng.random() * 400.0
             roll = rng.random()
-            if roll < 0.55:
+            if roll < enqueue_p:
                 job = Job(
                     job_id=next_id,
                     user=rng.randrange(5),
@@ -76,7 +97,7 @@ class TestReadyQueueEquivalence:
                 next_id += 1
                 new.enqueue(job)
                 ref.enqueue(job)
-            elif roll < 0.85 and new.running:
+            elif roll < finish_p and new.running:
                 jid = min(
                     new.running, key=lambda k: (new.running[k].end_s, k)
                 )
@@ -86,9 +107,65 @@ class TestReadyQueueEquivalence:
             assert [j.job_id for j in started_new] == [
                 j.job_id for j in started_ref
             ]
-            assert new.free_cores == ref.free_cores
-            assert new.queue_length == len(ref.queue)
-            assert new.estimated_wait_s(now) == ref.estimated_wait_s(now)
+            _assert_same_state(new, ref, now)
+            longest = max(longest, len(ref.queue))
+        # Backlogged runs really exercise the backlog: the queue
+        # outgrows the window several times over.
+        assert longest >= outgrows * window
+
+    @pytest.mark.parametrize("cap", [None, 2], ids=["uncapped", "cap2"])
+    def test_shifted_in_job_waits_for_the_next_scan(self, sim_machines, cap):
+        """A start that pulls a fitting job from the backlog into the
+        window does not start it in the same scan — the seed's scan had
+        already passed that slot — but the next scan does."""
+        machine = dataclasses.replace(sim_machines["IC"], max_concurrent_jobs=cap)
+        new = ClusterSim(machine, backfill_window=2)
+        ref = SeedCluster(machine, backfill_window=2)
+
+        def make(job_id, user, cores):
+            return Job(job_id, user, cores, 0.0, {"IC": 100.0}, {"IC": 1e3})
+
+        for job in (make(1, 1, 500), make(2, 1, 8), make(3, 2, 8)):
+            new.enqueue(job)
+            ref.enqueue(job)
+        # Job 1 starts; job 2 waits on its user; job 3 shifts in and fits.
+        for now, expected in ((0.0, [1]), (1.0, [3])):
+            assert [j.job_id for j in new.startable(now)] == expected
+            assert [j.job_id for j in ref.startable(now)] == expected
+            _assert_same_state(new, ref, now)
+        assert new._ready.synced
+
+    def test_scan_reads_only_the_window_and_the_shifted_in(self, sim_machines):
+        """O(window) per scan: on a 10,000-job queue one ``startable``
+        call reads the fields of at most ``window + len(started)`` jobs
+        and leaves the backlog deque in place instead of rebuilding it."""
+        touched: set[int] = set()
+
+        class CountingJob:
+            __slots__ = ("_job",)
+
+            def __init__(self, job: Job) -> None:
+                self._job = job
+
+            def __getattr__(self, name: str):
+                touched.add(self._job.job_id)
+                return getattr(self._job, name)
+
+        window = 64
+        cluster = ClusterSim(sim_machines["IC"], backfill_window=window)
+        for i in range(10_000):
+            # Every 16th job fits beside the others (32 cores, one user
+            # each); the rest ask for the whole machine.
+            cores = 32 if i % 16 == 0 else 576
+            job = CountingJob(Job(i, i, cores, 0.0, {"IC": 100.0}, {"IC": 1e3}))
+            cluster.enqueue(job)
+        backlog = cluster._ready.backlog
+        touched.clear()
+        started = cluster.startable(0.0)
+        assert len(started) > 0
+        assert len(touched) <= window + len(started)
+        assert cluster._ready.backlog is backlog
+        assert cluster.queue_length == 10_000 - len(started)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.cluster import ClusterSim
 from repro.sim.events import ARRIVAL, FINISH, TICK, EventCalendar, ReadyQueue
 from repro.sim.job import Job
 
@@ -106,6 +107,9 @@ class TestReadyQueue:
         # index stays valid even though the job would fit.
         rq.push(job(2, cores=4), free_cores=10, busy_users=set())
         assert rq.synced
+        assert [j.job_id for j in rq.window] == [1]
+        assert [j.job_id for j in rq.backlog] == [2]
+        assert len(rq) == 2
 
     def test_note_release_wakes_on_enough_cores(self):
         rq = ReadyQueue(8)
@@ -125,20 +129,31 @@ class TestReadyQueue:
         rq.note_release(user=7, free_cores=1)
         assert not rq.synced
 
-    def test_reindex_rebuilds_buckets(self):
-        rq = ReadyQueue(2)
-        rq.push(job(1, user=1, cores=100), free_cores=0, busy_users=set())
-        rq.push(job(2, user=2, cores=50), free_cores=0, busy_users=set())
-        rq.push(job(3, user=3, cores=1), free_cores=0, busy_users=set())
-        rq.reindex(free_cores=10, busy_users={1})
+
+class TestScanIndexing:
+    """The buckets a real ``ClusterSim.startable`` scan leaves behind."""
+
+    def test_scan_rebuilds_buckets(self, sim_machines):
+        cluster = ClusterSim(sim_machines["IC"], backfill_window=2)  # 576
+        cluster.enqueue(job(0, user=1, cores=566))  # starts: 10 cores left
+        cluster.enqueue(job(1, user=1, cores=100))  # user 1 now busy
+        cluster.enqueue(job(2, user=2, cores=50))  # shifts in: 50 > 10
+        cluster.enqueue(job(3, user=3, cores=1))  # stays in the backlog
+        assert [j.job_id for j in cluster.startable(0.0)] == [0]
+        rq = cluster._ready
         assert rq.synced
         assert rq.blocked_users == {1}
         # Job 3 sits beyond the window, so the min comes from job 2 only.
         assert rq.min_blocked_cores == 50
+        assert [j.job_id for j in rq.window] == [1, 2]
+        assert [j.job_id for j in rq.backlog] == [3]
 
-    def test_reindex_stays_unsynced_when_a_window_job_fits(self):
-        rq = ReadyQueue(4)
-        rq.push(job(1, cores=100), free_cores=0, busy_users=set())
-        rq.push(job(2, cores=4), free_cores=0, busy_users=set())
-        rq.reindex(free_cores=10, busy_users=set())
-        assert not rq.synced
+    def test_scan_stays_unsynced_when_a_shifted_in_job_fits(self, sim_machines):
+        cluster = ClusterSim(sim_machines["IC"], backfill_window=1)
+        cluster.enqueue(job(1, user=1, cores=566))
+        cluster.enqueue(job(2, user=2, cores=4))  # backlog; fits once 1 starts
+        assert [j.job_id for j in cluster.startable(0.0)] == [1]
+        assert not cluster._ready.synced
+        assert [j.job_id for j in cluster._ready.window] == [2]
+        # The next scan starts it, as the seed's always-scan loop would.
+        assert [j.job_id for j in cluster.startable(1.0)] == [2]

@@ -5,6 +5,7 @@ truncated, corrupt, wrong format — is a miss that deletes the entry and
 recomputes; the store never raises for bad bytes.
 """
 
+import errno
 import io
 import os
 
@@ -18,6 +19,7 @@ from repro.accounting.pricing import (
     QuoteTable,
     fingerprint_digest,
 )
+from repro.sim import result_store
 from repro.sim.engine import MultiClusterSimulator, pricing_for_sim_machine
 from repro.sim.result_store import (
     STORE_FORMAT,
@@ -308,6 +310,102 @@ class TestEviction:
             "evictions",
             "corrupt",
         }
+
+
+class _FullDiskFile:
+    """A store tempfile on a full disk: the first write lands a few
+    bytes, then fails with ``ENOSPC``."""
+
+    def __init__(self, fh) -> None:
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def write(self, data) -> int:
+        self._fh.write(bytes(data[:64]))
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class _FullDiskOS:
+    """``os`` as :mod:`repro.sim.result_store` sees it on a full disk:
+    every payload write fails; everything else is the real module."""
+
+    def __init__(self) -> None:
+        self.writes = 0
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def fdopen(self, fd, *args, **kwargs):
+        self.writes += 1
+        return _FullDiskFile(os.fdopen(fd, *args, **kwargs))
+
+
+def _files(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
+
+class TestFullDisk:
+    """``ENOSPC`` under ``ResultStore.put``: the error surfaces, the
+    partial tempfile goes, and nothing half-written is ever served."""
+
+    def test_put_raises_and_leaves_no_tempfile(
+        self, tmp_path, sample_results, pricing_fp, monkeypatch
+    ):
+        store = ResultStore(tmp_path)
+        key = task_store_key(task_for("CBA"), pricing_fp)
+        before = _files(tmp_path)
+        monkeypatch.setattr(result_store, "os", _FullDiskOS())
+        with pytest.raises(OSError) as raised:
+            store.put(key, sample_results["CBA"])
+        assert raised.value.errno == errno.ENOSPC
+        assert _files(tmp_path) == before
+        assert not list(tmp_path.glob("put-*.tmp"))
+        assert store.get(key) is None
+        assert store.stats().misses == 1
+        # Once there is room again the same put commits normally.
+        monkeypatch.undo()
+        store.put(key, sample_results["CBA"])
+        assert_results_equal(store.get(key), sample_results["CBA"])
+
+    def test_service_on_full_store_matches_storeless_run(self, tmp_path, monkeypatch):
+        from repro.experiments._simulation import scenario, workload
+        from repro.sim.sweep_service import SweepService
+
+        tasks = [
+            SweepTask("baseline", policy, method, SCALE, SEED)
+            for policy in ("Greedy", "EFT")
+            for method in ("EBA", "CBA")
+        ]
+
+        def run(store):
+            service = SweepService(
+                scenario, workload, method_by_name, store=store, workers=2
+            )
+            with service:
+                return service.run(tasks)
+
+        reference = run(None)
+        full_disk = _FullDiskOS()
+        monkeypatch.setattr(result_store, "os", full_disk)
+        store = ResultStore(tmp_path)
+        got = run(store)
+        assert full_disk.writes == len(tasks)  # every put was tried
+        assert not list(tmp_path.rglob("put-*.tmp"))
+        assert _files(tmp_path) == []
+        assert store.stats().entries == 0
+        for task in tasks:
+            assert_results_equal(got[task], reference[task])
+            for name, _ in OUTCOME_FIELDS:
+                assert np.array_equal(
+                    getattr(got[task].table, name),
+                    getattr(reference[task].table, name),
+                )
 
 
 class TestOutcomeTableShm:
