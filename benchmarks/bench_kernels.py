@@ -307,6 +307,37 @@ def test_sweep_short_runs_kernel_cache(run_once, benchmark):
     assert all(r.n_jobs > 0 for r in results.values())
 
 
+def test_policy_grid_two_methods(run_once, benchmark):
+    """A serial 8-policy x (EBA, CBA) sweep: the six cost-blind
+    policies are simulated once and their schedules settled under the
+    second method, so 10 of the 16 cells run an event loop."""
+    from repro.experiments._simulation import method_for, scenario, workload
+    from repro.sim.policies import standard_policies
+    from repro.sim.sweep import SweepRunner, SweepTask, clear_quote_tables
+
+    scale = 1500
+    runner = SweepRunner(
+        scenario_fn=scenario,
+        workload_fn=workload,
+        method_fn=method_for,
+        workers=1,
+    )
+    tasks = [
+        SweepTask("baseline", p.name, method, scale, 0)
+        for method in ("EBA", "CBA")
+        for p in standard_policies()
+    ]
+    workload("baseline", scale, 0)  # memoize generation outside the clock
+
+    def sweep():
+        clear_quote_tables()  # each round pays exactly two table builds
+        return runner.run(tasks)
+
+    results = run_once(benchmark, sweep)
+    assert len(results) == len(tasks)
+    assert all(r.n_jobs > 0 for r in results.values())
+
+
 def test_result_store_round_trip_8_policies(run_once, benchmark, tmp_path):
     """Persisting and reloading a full 8-policy sweep through the
     content-addressed result store (``sim/result_store.py``): the

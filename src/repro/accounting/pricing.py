@@ -23,7 +23,7 @@ Everything here follows one contract with two halves:
   fresh ``charge()`` calls.
 
 * **Settlement is deferred**.  Work that accrues *during* a run —
-  finished jobs (:meth:`PricingKernel.price_outcomes`), migration
+  finished jobs (:meth:`ShardedPricingKernel.price_block`), migration
   segments (:class:`SegmentLedger`), FaaS invocations
   (:class:`SettlementQueue`) — is appended to a struct-of-arrays ledger
   as plain scalars and priced at the end in one vectorized pass per
@@ -1057,7 +1057,7 @@ class PricingKernel:
     are fully determined at load (arrival time == submit time), which is
     what makes the tables reusable across same-workload runs.
 
-    :meth:`price_outcomes` settles a finish log into a columnar
+    :meth:`price_outcomes` settles a finished schedule into a columnar
     :class:`OutcomeTable` — one ``charge_many`` + ``at_many`` sweep per
     machine, bit-identical to pricing each outcome with ``charge()``.
     """
@@ -1117,46 +1117,55 @@ class PricingKernel:
         )
 
     # ------------------------------------------------------------------
-    def price_outcomes(
-        self,
-        finished: Sequence[tuple["Job", str, float, float]],
-    ) -> OutcomeTable:
-        """Settle a finish log ``(job, machine, start_s, end_s)`` into a
-        columnar :class:`OutcomeTable`, in log order.
+    def price_outcomes(self, schedule: OutcomeTable) -> OutcomeTable:
+        """Settle a finished ``schedule`` under this kernel's method.
 
-        One ``charge_many`` + ``at_many`` sweep per machine; operational
-        carbon uses the start-time intensity and attributed carbon adds
-        CBA's embodied term, exactly as the scalar reference path.
+        ``schedule`` is an outcome table over this kernel's machines,
+        typically another run's result over the same workload: a sweep
+        settles the schedule of a policy that never reads costs once per
+        accounting method.  Only its ``job_id``, ``machine_code``,
+        ``start_s`` and ``end_s`` columns are read; every other column
+        comes from this kernel's quote rows, exactly as the engine
+        settles, so settling an engine result under its own method
+        reproduces it bit for bit.  Rows keep the schedule's order.
+
+        Raises :class:`ValueError` if the schedule's machine list is not
+        this kernel's.
         """
-        return self._settle(finished, self._rows(finished))
+        if schedule.machines != self.machine_names:
+            raise ValueError(
+                f"a schedule over machines {schedule.machines} cannot be "
+                f"settled against {self.machine_names}"
+            )
+        return self._settle(
+            self._rows(schedule.job_id.tolist()),
+            schedule.machine_code,
+            schedule.start_s,
+            schedule.end_s,
+        )
 
-    def _rows(
-        self, finished: Sequence[tuple["Job", str, float, float]]
-    ) -> npt.NDArray[np.intp]:
-        """The quote-table row of each finish-log entry's job."""
-        row_of = self.row_of
+    def _rows(self, job_ids: Sequence[int]) -> npt.NDArray[np.intp]:
+        """The quote-table row of each job id."""
         return np.fromiter(
-            (row_of[entry[0].job_id] for entry in finished),
-            dtype=np.intp,
-            count=len(finished),
+            map(self.row_of.__getitem__, job_ids), dtype=np.intp, count=len(job_ids)
         )
 
     def _settle(
         self,
-        finished: Sequence[tuple["Job", str, float, float]],
         rows: npt.NDArray[np.intp],
+        codes: npt.NDArray[np.int32],
+        starts: FloatArray,
+        ends: FloatArray,
     ) -> OutcomeTable:
-        """The one settlement body: ``finished[i]`` priced against quote
-        row ``rows[i]`` (behind :meth:`price_outcomes` and
-        :meth:`ShardedPricingKernel.price_block`)."""
-        n = len(finished)
+        """The one settlement body: quote row ``rows[i]`` run on machine
+        ``codes[i]`` from ``starts[i]`` to ``ends[i]`` (behind
+        :meth:`price_outcomes` and :meth:`ShardedPricingKernel.price_block`).
+
+        One ``charge_many`` + ``at_many`` sweep per machine; operational
+        carbon uses the start-time intensity and attributed carbon adds
+        CBA's embodied term, exactly as the scalar reference path."""
+        n = len(rows)
         names = self.machine_names
-        code_of = {name: i for i, name in enumerate(names)}
-        codes = np.fromiter(
-            (code_of[entry[1]] for entry in finished), dtype=np.int32, count=n
-        )
-        starts = np.fromiter((entry[2] for entry in finished), dtype=float, count=n)
-        ends = np.fromiter((entry[3] for entry in finished), dtype=float, count=n)
         cost = np.empty(n)
         energy_out = np.empty(n)
         operational = np.empty(n)
@@ -1245,8 +1254,7 @@ class ShardedPricingKernel:
 
     Settlement (:meth:`price_block`) takes consecutive slices of the
     completion-ordered finish log, so concatenating the returned tables
-    in call order reproduces :meth:`PricingKernel.price_outcomes` of
-    the whole log row for row.
+    in call order reproduces a settlement of the whole log row for row.
     """
 
     __slots__ = (
@@ -1354,10 +1362,11 @@ class ShardedPricingKernel:
         self,
         finished: Sequence[tuple["Job", str, float, float]],
     ) -> OutcomeTable:
-        """Settle one block of the finish log and release its jobs.
+        """Settle one block of the finish log — ``(job, machine,
+        start_s, end_s)`` entries — and release its jobs.
 
-        Same contract as :meth:`PricingKernel.price_outcomes`, restricted
-        to a block: rows come back in log order.  The block is split by
+        The entries become the row, machine-code, start and end columns
+        of :meth:`PricingKernel._settle`; rows come back in log order.  The block is split by
         shard and each part settles through its shard's kernel; that
         changes only how rows are batched, never a row's operands — the
         settlement math is element-wise — so the block is bit-identical
@@ -1365,15 +1374,20 @@ class ShardedPricingKernel:
         """
         n = len(finished)
         ids = [entry[0].job_id for entry in finished]
+        code_of = {name: i for i, name in enumerate(self.machine_names)}
+        codes = np.fromiter(
+            (code_of[entry[1]] for entry in finished), dtype=np.int32, count=n
+        )
+        starts = np.fromiter((entry[2] for entry in finished), dtype=float, count=n)
+        ends = np.fromiter((entry[3] for entry in finished), dtype=float, count=n)
         owners = map(self._locate.pop, ids, repeat(self._newest))
         owner = np.fromiter(map(attrgetter("index"), owners), dtype=np.intp, count=n)
         columns = {name: np.empty(n, dtype=dtype) for name, dtype in OUTCOME_FIELDS}
         for index in np.unique(owner).tolist():
             shard = self._live[index]
             idx = np.flatnonzero(owner == index)
-            part = [finished[i] for i in idx.tolist()]
-            rows = shard.kernel._rows(part)
-            table = shard.kernel._settle(part, rows)
+            rows = shard.kernel._rows([ids[i] for i in idx.tolist()])
+            table = shard.kernel._settle(rows, codes[idx], starts[idx], ends[idx])
             for name, _ in OUTCOME_FIELDS:
                 columns[name][idx] = getattr(table, name)
             self._release(shard, rows)

@@ -15,7 +15,7 @@ the node's utilization; tests drive it with analytic shapes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 #: Default RAPL energy-status unit: 15.3 microjoules... rounded: real
@@ -137,15 +137,3 @@ def counter_delta_joules(
     delta = (after_raw - before_raw) % COUNTER_WRAP
     return delta * energy_unit_j
 
-
-@dataclass
-class EnergyReading:
-    """A timestamped pair of raw RAPL readings emitted by the endpoint."""
-
-    node: str
-    timestamp: float
-    package_raw: int
-    dram_raw: int
-    energy_unit_j: float = DEFAULT_ENERGY_UNIT_J
-
-    window: float = field(default=0.0)

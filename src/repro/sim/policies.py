@@ -5,6 +5,12 @@ A policy sees, for one job at submission time, a per-machine
 and the cost the active accounting method would charge) and picks a
 machine.  Single-machine policies are instances of
 :class:`FixedMachinePolicy`.
+
+Only Greedy and Mixed read a view's ``cost``.  Every other built-in
+policy sets :attr:`Policy.reads_cost` to ``False``: its choice, and so
+the whole schedule of a run, is the same under every accounting method,
+which lets a sweep simulate such a policy once per workload and settle
+that schedule under each method (see :mod:`repro.sim.sweep`).
 """
 
 from __future__ import annotations
@@ -37,9 +43,17 @@ class MachineView:
 
 
 class Policy(abc.ABC):
-    """Machine-selection strategy."""
+    """Machine-selection strategy.
+
+    ``reads_cost`` declares whether :meth:`select` may look at a view's
+    ``cost``.  ``False`` promises that the choice is the same whatever
+    the costs are, so a sweep may reuse one method's schedule for
+    every other method.  It defaults to ``True``, the safe answer for a
+    subclass that does not say.
+    """
 
     name: str = "?"
+    reads_cost: bool = True
 
     @abc.abstractmethod
     def select(self, job: Job, views: list[MachineView]) -> str:
@@ -66,6 +80,7 @@ class EnergyPolicy(Policy):
     """Minimize predicted energy."""
 
     name = "Energy"
+    reads_cost = False
 
     def select(self, job: Job, views: list[MachineView]) -> str:
         return min(views, key=lambda v: v.energy_j).machine
@@ -103,6 +118,7 @@ class EFTPolicy(Policy):
     """Earliest finish time: minimize queue wait + runtime."""
 
     name = "EFT"
+    reads_cost = False
 
     def select(self, job: Job, views: list[MachineView]) -> str:
         return min(views, key=lambda v: v.completion_s).machine
@@ -112,6 +128,7 @@ class RuntimePolicy(Policy):
     """Minimize runtime, ignoring queues, energy, and cost."""
 
     name = "Runtime"
+    reads_cost = False
 
     def select(self, job: Job, views: list[MachineView]) -> str:
         return min(views, key=lambda v: v.runtime_s).machine
@@ -134,6 +151,7 @@ class LargestFirstPolicy(Policy):
     """
 
     name = "LargestFirst"
+    reads_cost = False
 
     #: Default preference order, largest tier first (kept in sync with
     #: ``repro.sim.scenarios.TIER_ORDER`` by a scenario test).
@@ -162,6 +180,8 @@ class FixedMachinePolicy(Policy):
     Jobs not eligible on the fixed machine fall back to the fastest
     eligible machine (the paper's Desktop policy is absent for the same
     reason: 17% of jobs cannot run there)."""
+
+    reads_cost = False
 
     def __init__(self, machine: str) -> None:
         self.machine = machine

@@ -40,6 +40,18 @@ results: an evicted table rebuilds bit-identically on the next request.
 Hit/miss/eviction counters surface through
 :func:`quote_table_cache_stats` and :meth:`SweepRunner.cache_stats`.
 
+Shared schedules
+----------------
+A policy whose :attr:`~repro.sim.policies.Policy.reads_cost` is
+``False`` schedules a workload the same way under every accounting
+method.  :meth:`SweepRunner.run` therefore simulates each
+(scenario, scale, seed, policy) of such a policy once — its first task
+in task order, the *leader* — and settles the leader's schedule under
+each other method in the parent
+(:meth:`~repro.accounting.pricing.PricingKernel.price_outcomes`).  The
+split is fixed by the task list before dispatch, so the work a sweep
+does never depends on which worker takes which task.
+
 Worker count resolution order: explicit ``workers=`` argument, the
 :func:`set_default_workers` override (the CLI's ``--jobs``), the
 ``REPRO_SWEEP_WORKERS`` environment variable, then ``os.cpu_count()``.
@@ -59,6 +71,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from repro.accounting.base import AccountingMethod
 from repro.accounting.methods import method_by_name
 from repro.accounting.pricing import (
+    PricingKernel,
     QuoteTable,
     QuoteTableCache,
     QuoteTableCacheStats,
@@ -248,6 +261,28 @@ def sweep_grid(
     ]
 
 
+def _shared_schedules(tasks: Sequence[SweepTask]) -> dict[SweepTask, SweepTask]:
+    """Map each follower task to its leader.
+
+    Tasks of one (scenario, scale, seed, policy) whose policy does not
+    read costs share one schedule whatever the method: the first of them
+    in task order leads, and each other task of the group follows it.
+    A repeat of the leader itself is not a follower.  Fixed by the task
+    list alone, so a sweep does the same work however its tasks are
+    spread over workers.
+    """
+    leaders: dict[tuple[str, int, int, str], SweepTask] = {}
+    leader_of: dict[SweepTask, SweepTask] = {}
+    for task in tasks:
+        if policy_by_name(task.policy).reads_cost:
+            continue
+        group = (task.scenario, task.scale, task.seed, task.policy)
+        leader = leaders.setdefault(group, task)
+        if task != leader:
+            leader_of[task] = leader
+    return leader_of
+
+
 def _build_quote_table(
     machines: Mapping[str, SimMachine], workload: Workload, method: AccountingMethod
 ) -> QuoteTable:
@@ -393,10 +428,17 @@ class SweepRunner:
 
         Deterministic regardless of parallelism: each simulation is
         independent and internally deterministic, so scheduling order
-        cannot change any result.  With more than one worker the tasks
-        run on a :class:`~repro.sim.sweep_service.SweepService` pool
-        without a result store, opened after the warm-up and closed
-        before this returns; a task that fails raises
+        cannot change any result.  A policy that does not read costs
+        (:attr:`~repro.sim.policies.Policy.reads_cost` is ``False``) is
+        simulated once per (scenario, scale, seed): the first such task
+        leads, and every other method of that group settles the
+        leader's schedule in this process
+        (:meth:`~repro.accounting.pricing.PricingKernel.price_outcomes`),
+        with the bits its own simulation would give.  With more than
+        one worker the simulated tasks run on a
+        :class:`~repro.sim.sweep_service.SweepService` pool without a
+        result store, opened after the warm-up and closed before this
+        returns; a task that fails raises
         :class:`~repro.sim.sweep_service.SweepTaskError`.
         """
         tasks = list(tasks)
@@ -404,9 +446,11 @@ class SweepRunner:
             return {}
         stats_before = _QUOTE_TABLES.stats()
         self._warm(tasks)
+        leader_of = _shared_schedules(tasks)
+        simulated = [task for task in tasks if task not in leader_of]
         workers = min(self.workers, len(tasks))
         if workers <= 1:
-            out = {task: self.run_task(task) for task in tasks}
+            results = {task: self.run_task(task) for task in simulated}
             self.last_worker_cache_stats = None
         else:
             from repro.sim.sweep_service import SweepService
@@ -420,13 +464,39 @@ class SweepRunner:
                 mp_context=self.mp_context,
             )
             try:
-                results = service.run(tasks)
+                results = service.run(simulated)
             finally:
                 service.close()
-            out = {task: results[task] for task in tasks}
             self.last_worker_cache_stats = service.worker_cache_stats
+        for follower, leader in leader_of.items():
+            results[follower] = self._settle_follower(follower, results[leader])
+        out = {task: results[task] for task in tasks}
         self.last_cache_stats = _cache_delta(stats_before)
         return out
+
+    def _settle_follower(
+        self, task: SweepTask, leader: SimulationResult
+    ) -> SimulationResult:
+        """``task``'s result from its leader's schedule: one counted
+        quote-table lookup, then a settlement under ``task``'s method."""
+        machines = dict(self.scenario_fn(task.scenario, task.seed))
+        method = self.method_fn(task.method)
+        quote_table = _QUOTE_TABLES.get_or_build(
+            self._quote_table_key(task, machines),
+            lambda: _build_quote_table(
+                machines,
+                self.workload_fn(task.scenario, task.scale, task.seed),
+                method,
+            ),
+        )
+        pricings = {name: pricing_for_sim_machine(m) for name, m in machines.items()}
+        kernel = PricingKernel(quote_table.block, pricings, method, table=quote_table)
+        return SimulationResult(
+            policy=leader.policy,
+            method=method.name,
+            machines=list(machines),
+            table=kernel.price_outcomes(leader.table),
+        )
 
     def cache_stats(self) -> QuoteTableCacheStats:
         """Live counters of the process-wide quote-table cache (see

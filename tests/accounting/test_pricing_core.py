@@ -10,6 +10,7 @@ import pytest
 from repro.accounting.base import MachinePricing, UsageRecord
 from repro.accounting.methods import CarbonBasedAccounting, all_methods
 from repro.accounting.pricing import (
+    OUTCOME_FIELDS,
     OutcomeTable,
     PricingKernel,
     QuoteTable,
@@ -88,19 +89,42 @@ class TestPricingKernelQuotes:
                 assert cost == method.charge(record, pricings[name])
 
     def test_price_outcomes_matches_scalar(self):
+        """A schedule settles to the scalar charges.  Only its job ids,
+        machines, starts and ends are read: every other column it
+        carries is zero, and the settled rows take theirs from the
+        quote rows."""
         rng = np.random.default_rng(3)
         method = CarbonBasedAccounting()
         carbon = CarbonBasedAccounting()
         pricings = make_pricings(rng)
+        names = list(pricings)
         jobs = make_jobs(rng, pricings)
         kernel = PricingKernel(block(jobs, pricings), pricings, method)
         finished = []
-        for job in jobs:
+        for i in rng.permutation(len(jobs)).tolist():
+            job = jobs[i]
             machine = job.eligible_machines[0]
             start = job.submit_s + float(rng.uniform(0, 1e4))
             finished.append((job, machine, start, start + job.runtime_s[machine]))
-        table = kernel.price_outcomes(finished)
-        assert len(table) == len(finished)
+        n = len(finished)
+        zeros = np.zeros(n)
+        schedule = OutcomeTable(
+            names,
+            job_id=[job.job_id for job, *_ in finished],
+            user=zeros,
+            machine_code=[names.index(machine) for _, machine, *_ in finished],
+            cores=zeros,
+            submit_s=zeros,
+            start_s=[start for *_, start, _ in finished],
+            end_s=[end for *_, end in finished],
+            energy_j=zeros,
+            cost=zeros,
+            work_core_hours=zeros,
+            operational_carbon_g=zeros,
+            attributed_carbon_g=zeros,
+        )
+        table = kernel.price_outcomes(schedule)
+        assert len(table) == n
         for row, (job, machine, start, end) in zip(table.rows(), finished):
             record = UsageRecord(
                 machine=machine,
@@ -111,7 +135,12 @@ class TestPricingKernelQuotes:
             )
             pricing = pricings[machine]
             assert row.job_id == job.job_id
+            assert row.user == job.user
             assert row.machine == machine
+            assert row.cores == job.cores
+            assert row.submit_s == job.submit_s
+            assert (row.start_s, row.end_s) == (start, end)
+            assert row.energy_j == job.energy_j[machine]
             assert row.cost == method.charge(record, pricing)
             operational = operational_carbon_g(
                 job.energy_j[machine], pricing.intensity.at(start)
@@ -120,6 +149,42 @@ class TestPricingKernelQuotes:
             assert row.attributed_carbon_g == operational + carbon.embodied_charge(
                 record, pricing
             )
+
+
+class TestScheduleSettlement:
+    """``price_outcomes`` re-settles a finished engine schedule."""
+
+    @pytest.mark.parametrize("method", all_methods(), ids=lambda m: m.name)
+    def test_engine_result_round_trips_bit_for_bit(
+        self, sim_machines, small_workload, method
+    ):
+        from repro.sim.engine import MultiClusterSimulator, pricing_for_sim_machine
+        from repro.sim.policies import EFTPolicy
+
+        result = MultiClusterSimulator(sim_machines, method, EFTPolicy()).run(
+            small_workload
+        )
+        pricings = {
+            name: pricing_for_sim_machine(m) for name, m in sim_machines.items()
+        }
+        kernel = PricingKernel(small_workload.block(list(pricings)), pricings, method)
+        settled = kernel.price_outcomes(result.table)
+        assert settled.machines == result.table.machines
+        for name, _ in OUTCOME_FIELDS:
+            expected = getattr(result.table, name)
+            got = getattr(settled, name)
+            assert got.dtype == expected.dtype, name
+            assert got.tobytes() == expected.tobytes(), name
+
+    def test_schedule_over_other_machines_is_rejected(self):
+        rng = np.random.default_rng(5)
+        pricings = make_pricings(rng)
+        jobs = make_jobs(rng, pricings, n=4)
+        kernel = PricingKernel(block(jobs, pricings), pricings, all_methods()[0])
+        for machines in (list(pricings)[::-1], list(pricings)[:-1]):
+            schedule = OutcomeTable.empty(machines)
+            with pytest.raises(ValueError, match="cannot be settled"):
+                kernel.price_outcomes(schedule)
 
 
 class TestQuoteTableSharing:

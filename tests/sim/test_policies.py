@@ -1,15 +1,22 @@
 """The eight selection policies."""
 
-import pytest
+import dataclasses
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from repro.sim import policies as policies_mod
 from repro.sim.job import Job
 from repro.sim.policies import (
     EFTPolicy,
     EnergyPolicy,
     FixedMachinePolicy,
     GreedyPolicy,
+    LargestFirstPolicy,
     MachineView,
     MixedPolicy,
+    Policy,
     RuntimePolicy,
     standard_policies,
 )
@@ -106,3 +113,94 @@ class TestStandardSet:
     def test_custom_fixed_targets(self):
         names = [p.name for p in standard_policies(["X"])]
         assert names[-1] == "X" and len(names) == 6
+
+
+#: One instance per built-in cost-blind policy, covering each branch:
+#: the fixed target present or absent (fallback), and LargestFirst's
+#: zero-wait and all-busy branches (the strategy draws both).
+COST_BLIND = [
+    EnergyPolicy(),
+    EFTPolicy(),
+    RuntimePolicy(),
+    LargestFirstPolicy(),
+    FixedMachinePolicy("B"),
+    FixedMachinePolicy("Absent"),
+]
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
+
+
+@st.composite
+def views_and_costs(draw):
+    """Views over distinct machines (tier names among them) plus one
+    replacement cost per view."""
+    names = draw(
+        st.lists(
+            st.sampled_from(["Large", "Medium", "Small", "A", "B", "C"]),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    views = [
+        view(
+            name,
+            runtime=draw(NONNEGATIVE),
+            energy=draw(NONNEGATIVE),
+            wait=draw(st.one_of(st.just(0.0), NONNEGATIVE)),
+            cost=draw(FINITE),
+        )
+        for name in names
+    ]
+    costs = draw(st.lists(FINITE, min_size=len(views), max_size=len(views)))
+    return views, costs
+
+
+class TestCostBlindness:
+    """``reads_cost = False`` is a checked property of the choice."""
+
+    def test_cost_blind_set(self):
+        blind = {
+            cls
+            for cls in vars(policies_mod).values()
+            if isinstance(cls, type)
+            and issubclass(cls, Policy)
+            and not cls.reads_cost
+        }
+        assert blind == {type(p) for p in COST_BLIND}
+        assert GreedyPolicy.reads_cost and MixedPolicy.reads_cost
+
+    @pytest.mark.parametrize("policy", COST_BLIND, ids=lambda p: p.name)
+    @given(case=views_and_costs())
+    @example(
+        case=(
+            [view("Large", wait=5.0, cost=1.0), view("Small", wait=0.0, cost=2.0)],
+            [9.0, -3.0],
+        )
+    )
+    @example(
+        case=([view("A", runtime=9.0), view("C", runtime=3.0)], [1e300, -1e300])
+    )
+    def test_choice_ignores_costs(self, policy, case):
+        views, costs = case
+        repriced = [
+            dataclasses.replace(v, cost=cost) for v, cost in zip(views, costs)
+        ]
+        assert policy.select(JOB, repriced) == policy.select(JOB, views)
+
+    @pytest.mark.parametrize("policy", [GreedyPolicy(), MixedPolicy()])
+    def test_cost_aware_choice_follows_costs(self, policy):
+        views = [view("A", cost=1.0), view("B", cost=2.0)]
+        swapped = [view("A", cost=2.0), view("B", cost=1.0)]
+        assert policy.reads_cost
+        assert policy.select(JOB, views) == "A"
+        assert policy.select(JOB, swapped) == "B"
+
+    def test_subclass_defaults_to_reading_costs(self):
+        class FirstView(Policy):
+            def select(self, job, views):
+                return views[0].machine
+
+        assert Policy.reads_cost is True
+        assert FirstView.reads_cost is True and FirstView().reads_cost is True

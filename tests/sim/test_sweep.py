@@ -9,10 +9,16 @@ import errno
 import multiprocessing
 import os
 import signal
+from collections import Counter
 
 import pytest
 
-from repro.accounting.methods import CarbonBasedAccounting, EnergyBasedAccounting
+from repro.accounting.methods import (
+    CarbonBasedAccounting,
+    EnergyBasedAccounting,
+    method_by_name,
+)
+from repro.accounting.pricing import OUTCOME_FIELDS
 from repro.sim.engine import MultiClusterSimulator
 from repro.sim.policies import (
     EFTPolicy,
@@ -24,6 +30,7 @@ from repro.sim.policies import (
 from repro.sim.sweep import (
     _QUOTE_TABLES,
     DEFAULT_KERNEL_CACHE_SIZE,
+    _shared_schedules,
     SweepRunner,
     SweepTask,
     clear_quote_tables,
@@ -617,6 +624,132 @@ class TestOnePool:
         [stats] = closed_pools
         assert stats.failed >= 1
         assert (stats.retries, stats.worker_restarts) == (0, 0)
+        assert multiprocessing.active_children() == []
+
+
+#: The five accounting methods of the §4.2 table, in that order.
+METHODS = ("Runtime", "Energy", "Peak", "EBA", "CBA")
+
+
+def _grid(methods=METHODS, scenario="baseline", policies=None):
+    names = policies or [p.name for p in standard_policies()]
+    return sweep_grid([scenario], names, methods, [SCALE], [SEED])
+
+
+@pytest.fixture(scope="module")
+def cell_alone():
+    """A grid cell run alone through the engine pricing its own kernel
+    (no sweep, no shared table), memoized across the module."""
+    from repro.experiments._simulation import scenario, workload
+
+    memo = {}
+
+    def run(task):
+        if task not in memo:
+            memo[task] = MultiClusterSimulator(
+                dict(scenario(task.scenario, task.seed)),
+                method_by_name(task.method),
+                policy_by_name(task.policy),
+            ).run(workload(task.scenario, task.scale, task.seed))
+        return memo[task]
+
+    return run
+
+
+def _assert_cell_identical(result, alone, task):
+    assert (result.policy, result.method) == (task.policy, task.method)
+    assert result.machines == alone.machines
+    assert result.table.machines == alone.table.machines
+    for name, _ in OUTCOME_FIELDS:
+        got, want = getattr(result.table, name), getattr(alone.table, name)
+        assert got.dtype == want.dtype, (task, name)
+        assert got.tobytes() == want.tobytes(), (task, name)
+
+
+class TestSharedSchedules:
+    """Cost-blind policies are simulated once per workload and settled
+    under every other method; every cell must still equal its own
+    engine run, bit for bit."""
+
+    def _run(self, tasks, workers):
+        from repro.experiments._simulation import scenario, workload
+
+        runner = SweepRunner(scenario, workload, method_by_name, workers=workers)
+        return runner.run(tasks)
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    @pytest.mark.parametrize("order", ["forward", "reversed", "repeated"])
+    def test_grid_matches_each_cell_run_alone(self, workers, order, cell_alone):
+        if order == "reversed":
+            tasks = _grid(methods=METHODS[::-1])
+        else:
+            tasks = _grid()
+        if order == "repeated":
+            # A repeat of a leader (first method, Energy) after its
+            # followers: still the leader, not a follower of itself.
+            tasks.append(tasks[1])
+        results = self._run(tasks, workers)
+        assert list(results) == list(dict.fromkeys(tasks))
+        for task in tasks:
+            _assert_cell_identical(results[task], cell_alone(task), task)
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_tiered_largest_first(self, workers, cell_alone):
+        """The tiered fleet's slot caps, under a shared schedule."""
+        from repro.sim.scenarios import TIERED_SCENARIO
+
+        tasks = _grid(
+            methods=("EBA", "CBA"),
+            scenario=TIERED_SCENARIO,
+            policies=["LargestFirst"],
+        )
+        results = self._run(tasks, workers)
+        for task in tasks:
+            _assert_cell_identical(results[task], cell_alone(task), task)
+
+    def test_split_is_fixed_by_the_task_list(self):
+        tasks = _grid(methods=("EBA", "CBA"))
+        leader_of = _shared_schedules(tasks + [tasks[1]])
+        assert tasks[1] not in leader_of  # a repeated leader stays a leader
+        blind = {"Energy", "EFT", "Runtime", "Theta", "IC", "FASTER"}
+        assert {t.policy for t in leader_of} == blind
+        for follower, leader in leader_of.items():
+            assert (follower.method, leader.method) == ("CBA", "EBA")
+            assert follower.policy == leader.policy
+        reverse = _shared_schedules(_grid(methods=("CBA", "EBA")))
+        assert {t.method for t in reverse} == {"EBA"}
+
+    def test_serial_grid_runs_sixteen_event_loops(self, monkeypatch):
+        calls = []
+        run = MultiClusterSimulator.run
+
+        def counting(self, workload):
+            calls.append((self.policy.name, self.method.name))
+            return run(self, workload)
+
+        monkeypatch.setattr(MultiClusterSimulator, "run", counting)
+        results = self._run(_grid(), workers=1)
+        assert len(results) == 40
+        assert len(calls) == 16
+        # Greedy and Mixed under each method; each cost-blind policy once,
+        # under the grid's first method.
+        assert Counter(p for p, _ in calls) == {
+            "Greedy": 5, "Mixed": 5, "Energy": 1, "EFT": 1,
+            "Runtime": 1, "Theta": 1, "IC": 1, "FASTER": 1,
+        }
+        assert {m for p, m in calls if p not in ("Greedy", "Mixed")} == {"Runtime"}
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_fixed_policy_on_a_missing_machine_fails(self, workers):
+        from repro.sim.sweep_service import SweepTaskError
+
+        tasks = [
+            SweepTask("baseline", "Nowhere", method, SCALE, SEED)
+            for method in ("EBA", "CBA")
+        ]
+        error = KeyError if workers == 1 else SweepTaskError
+        with pytest.raises(error, match="unknown policy 'Nowhere'"):
+            self._run(tasks, workers)
         assert multiprocessing.active_children() == []
 
 
