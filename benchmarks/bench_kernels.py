@@ -216,7 +216,7 @@ def _staged_migration_tick(n_running: int):
     for i, job in enumerate(jobs):
         home = wide[i % len(wide)]
         cluster = clusters[home]
-        cluster.enqueue(job)
+        cluster.enqueue((job.job_id, job.user, job.cores, job.runtime_s[home]))
         started = cluster.startable(0.0)  # mutates: pops + starts the job
         if not started:
             raise RuntimeError(f"staged job {job.job_id} failed to start")

@@ -18,9 +18,9 @@ Everything here follows one contract with two halves:
   (job, eligible machine) pair with one
   :meth:`~repro.accounting.base.AccountingMethod.charge_many` call per
   machine.  This is legal because submission-time quotes depend only on
-  per-job constants (arrival time *is* the submit time), so a policy's
-  :class:`~repro.sim.policies.MachineView` costs are row lookups, never
-  fresh ``charge()`` calls.
+  per-job constants (arrival time *is* the submit time), so the costs a
+  policy's :meth:`~repro.sim.policies.Policy.select` sees are row
+  lookups, never fresh ``charge()`` calls.
 
 * **Settlement is deferred**.  Work that accrues *during* a run —
   finished jobs (:meth:`ShardedPricingKernel.price_block`), migration
@@ -79,7 +79,7 @@ from repro.units import operational_carbon_g
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a sim cycle
     from multiprocessing.shared_memory import SharedMemory
 
-    from repro.sim.job import Job, JobBlock, JobOutcome, Take
+    from repro.sim.job import JobBlock, JobOutcome, Take
 
 #: Column types: FloatArray for priced quantities, IntArray for ids and
 #: codes, AnyArray where one annotation spans mixed-dtype columns.
@@ -90,6 +90,10 @@ AnyArray = npt.NDArray[Any]
 #: The comparable value-identity of a pricing catalogue
 #: (see :meth:`QuoteTable.fingerprint`).
 PricingFingerprint = tuple[object, ...]
+
+#: One row's submission quotes (see :attr:`QuoteTable.quotes`):
+#: ``(walk, runtime, energy, cost)``.
+Quote = tuple[int, tuple[float, ...], tuple[float, ...], tuple[float, ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +487,11 @@ class QuoteTable:
 
     Exposed views (all columns are views into ``block`` or ``cost``):
 
-    * ``static_views`` — per-job ``(machine, runtime, energy, cost)``
-      tuples in the job's own eligibility order (what policies consume),
+    * ``quotes`` — per row, ``(walk, runtime, energy, cost)``: the index
+      of the row's eligibility walk in ``walks`` (machine indices, in
+      the job's own eligibility order; ``walk_names`` holds them as
+      names) and the row's quotes as tuples in that order — what the
+      event loops hand a policy, indexed by the arrival's row,
     * flat per-machine ``runtime`` / ``energy`` / ``cost`` arrays keyed
       by the job's ``row_of`` index (what the outcome post-pass and the
       migration re-evaluation reuse),
@@ -512,7 +519,9 @@ class QuoteTable:
         "runtime",
         "energy",
         "cost",
-        "static_views",
+        "quotes",
+        "walks",
+        "walk_names",
         "elig_rank",
         "_shm",
     )
@@ -526,7 +535,9 @@ class QuoteTable:
         self.runtime: dict[str, FloatArray] = {}
         self.energy: dict[str, FloatArray] = {}
         self.cost: dict[str, FloatArray] = {}
-        self.static_views: list[tuple[tuple[str, float, float, float], ...]] = []
+        self.quotes: list[Quote] = []
+        self.walks: list[tuple[int, ...]] = []
+        self.walk_names: list[tuple[str, ...]] = []
         self.elig_rank = np.empty((0, 0), dtype=np.int32)
         #: The shared-memory mapping backing this table's columns when
         #: it came from :meth:`attach`; ``None`` for owned arrays.
@@ -616,9 +627,9 @@ class QuoteTable:
 
     def _bind(self, block: "JobBlock", cost: FloatArray) -> None:
         """Adopt ``block`` and its ``(n_machines, n_jobs)`` quotes: the
-        column views, ``row_of``, and the per-job ``static_views``
-        (machines in each job's own eligibility order), built column by
-        column rather than job by job."""
+        column views, ``row_of``, and the per-row ``quotes`` with one
+        entry of ``walks`` per distinct eligibility walk, built column
+        by column rather than job by job."""
         names = list(block.machine_names)
         self.block = block
         self.machine_names = names
@@ -634,25 +645,26 @@ class QuoteTable:
         ids = block.job_id.tolist()
         self.row_of = dict(zip(ids, range(len(ids))))
         runtime, energy = block.floats()
-        quotes = cost.tolist()
+        costs = cost.tolist()
+        walks: list[tuple[int, ...]] = []
 
-        def views(
-            walk: tuple[int, ...], take: "Take"
-        ) -> list[tuple[tuple[str, float, float, float], ...]]:
+        def quotes(walk: tuple[int, ...], take: "Take") -> list[Quote]:
+            index = len(walks)
+            walks.append(walk)
             if not walk:
-                return [()] * len(take(ids))
-            per_machine = [
+                return [(index, (), (), ())] * len(take(ids))
+            return list(
                 zip(
-                    repeat(names[mi]),
-                    take(runtime[mi]),
-                    take(energy[mi]),
-                    take(quotes[mi]),
+                    repeat(index),
+                    zip(*[take(runtime[mi]) for mi in walk]),
+                    zip(*[take(energy[mi]) for mi in walk]),
+                    zip(*[take(costs[mi]) for mi in walk]),
                 )
-                for mi in walk
-            ]
-            return list(zip(*per_machine))
+            )
 
-        self.static_views = block.per_row(views)
+        self.quotes = block.per_row(quotes)
+        self.walks = walks
+        self.walk_names = [tuple(names[mi] for mi in walk) for walk in walks]
 
     # ------------------------------------------------------------------
     def compatible_with(
@@ -766,7 +778,7 @@ class QuoteTable:
 
         The column arrays are read-only views of the shared pages (no
         workload regeneration, no re-pricing); ``row_of`` and the
-        ``static_views`` tuples are rebuilt from the columns by the same
+        ``quotes`` tuples are rebuilt from the columns by the same
         builder :meth:`build` uses, so an attached table is
         value-identical to the one :meth:`to_shm` packed and every
         simulation it backs is bit-identical.  The returned table holds
@@ -1075,7 +1087,9 @@ class PricingKernel:
         "work",
         "runtime",
         "energy",
-        "static_views",
+        "quotes",
+        "walks",
+        "walk_names",
         "elig_rank",
         "_carbon",
     )
@@ -1108,7 +1122,9 @@ class PricingKernel:
         self.work = table.work
         self.runtime = table.runtime
         self.energy = table.energy
-        self.static_views = table.static_views
+        self.quotes = table.quotes
+        self.walks = table.walks
+        self.walk_names = table.walk_names
         self.elig_rank = table.elig_rank
         self._carbon = (
             method
@@ -1360,26 +1376,25 @@ class ShardedPricingKernel:
     # ------------------------------------------------------------------
     def price_block(
         self,
-        finished: Sequence[tuple["Job", str, float, float]],
+        finished: Sequence[tuple[int, int, float, float]],
     ) -> OutcomeTable:
-        """Settle one block of the finish log — ``(job, machine,
+        """Settle one block of the finish log — ``(job_id, machine_code,
         start_s, end_s)`` entries — and release its jobs.
 
         The entries become the row, machine-code, start and end columns
-        of :meth:`PricingKernel._settle`; rows come back in log order.  The block is split by
-        shard and each part settles through its shard's kernel; that
-        changes only how rows are batched, never a row's operands — the
-        settlement math is element-wise — so the block is bit-identical
-        to its slice of a whole-log settlement.
+        of :meth:`PricingKernel._settle`; rows come back in log order.
+        The block is split by shard and each part settles through its
+        shard's kernel; that changes only how rows are batched, never a
+        row's operands — the settlement math is element-wise — so the
+        block is bit-identical to its slice of a whole-log settlement.
         """
         n = len(finished)
-        ids = [entry[0].job_id for entry in finished]
-        code_of = {name: i for i, name in enumerate(self.machine_names)}
-        codes = np.fromiter(
-            (code_of[entry[1]] for entry in finished), dtype=np.int32, count=n
-        )
-        starts = np.fromiter((entry[2] for entry in finished), dtype=float, count=n)
-        ends = np.fromiter((entry[3] for entry in finished), dtype=float, count=n)
+        if not n:
+            return OutcomeTable.empty(self.machine_names)
+        ids, codes_t, starts_t, ends_t = zip(*finished)
+        codes = np.array(codes_t, dtype=np.int32)
+        starts = np.array(starts_t, dtype=float)
+        ends = np.array(ends_t, dtype=float)
         owners = map(self._locate.pop, ids, repeat(self._newest))
         owner = np.fromiter(map(attrgetter("index"), owners), dtype=np.intp, count=n)
         columns = {name: np.empty(n, dtype=dtype) for name, dtype in OUTCOME_FIELDS}

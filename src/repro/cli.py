@@ -82,9 +82,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         fig6_cba_simulation,
         table6_policy_impact,
     )
+    from repro.experiments._simulation import policy_sweeps
 
     if not _apply_jobs(args):
         return 2
+    # The reports compare EBA and CBA: run both as one sweep up front.
+    policy_sweeps("baseline", ("EBA", "CBA"), args.scale, args.seed)
     print(fig5_eba_simulation.format_report(scale=args.scale, seed=args.seed))
     print()
     print(table6_policy_impact.format_table(scale=args.scale, seed=args.seed))

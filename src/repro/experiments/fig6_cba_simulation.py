@@ -12,7 +12,7 @@ from repro.experiments._simulation import (
     DEFAULT_SCALE,
     budget_matching_work,
     greedy_budget,
-    policy_sweep,
+    policy_sweeps,
 )
 
 
@@ -20,11 +20,11 @@ def work_with_fixed_allocation(
     scale: int = DEFAULT_SCALE, seed: int = 0
 ) -> dict[str, float]:
     """Fig. 6: core-hours per policy under the calibrated CBA budget."""
-    eba_results = policy_sweep("baseline", "EBA", scale, seed)
+    sweeps = policy_sweeps("baseline", ("EBA", "CBA"), scale, seed)
     eba_budget = greedy_budget("baseline", "EBA", scale, seed)
-    target_work = eba_results["Greedy"].work_with_budget(eba_budget)
+    target_work = sweeps["EBA"]["Greedy"].work_with_budget(eba_budget)
 
-    cba_results = policy_sweep("baseline", "CBA", scale, seed)
+    cba_results = sweeps["CBA"]
     cba_budget = budget_matching_work(cba_results, target_work)
     return {
         name: r.work_with_budget(cba_budget) for name, r in cba_results.items()
@@ -33,7 +33,7 @@ def work_with_fixed_allocation(
 
 def eba_vs_cba_shift(scale: int = DEFAULT_SCALE, seed: int = 0) -> dict[str, float]:
     """Per-policy work ratio CBA/EBA (paper: Energy ~0.78, Runtime ~1.23)."""
-    eba_results = policy_sweep("baseline", "EBA", scale, seed)
+    eba_results = policy_sweeps("baseline", ("EBA", "CBA"), scale, seed)["EBA"]
     eba_budget = greedy_budget("baseline", "EBA", scale, seed)
     eba_work = {
         name: r.work_with_budget(eba_budget) for name, r in eba_results.items()
@@ -48,7 +48,7 @@ def eba_vs_cba_shift(scale: int = DEFAULT_SCALE, seed: int = 0) -> dict[str, flo
 def format_report(scale: int = DEFAULT_SCALE, seed: int = 0) -> str:
     works = work_with_fixed_allocation(scale, seed)
     shifts = eba_vs_cba_shift(scale, seed)
-    cba = policy_sweep("baseline", "CBA", scale, seed)
+    cba = policy_sweeps("baseline", ("EBA", "CBA"), scale, seed)["CBA"]
     lines = ["Fig. 6: work completed with a fixed CBA allocation"]
     for name, work in works.items():
         lines.append(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments._simulation import DEFAULT_SCALE, policy_sweep
+from repro.experiments._simulation import DEFAULT_SCALE, policy_sweeps
 from repro.units import JOULES_PER_KWH
 
 
@@ -23,8 +23,8 @@ class ImpactRow:
 
 
 def run(scale: int = DEFAULT_SCALE, seed: int = 0) -> list[ImpactRow]:
-    eba = policy_sweep("baseline", "EBA", scale, seed)
-    cba = policy_sweep("baseline", "CBA", scale, seed)
+    sweeps = policy_sweeps("baseline", ("EBA", "CBA"), scale, seed)
+    eba, cba = sweeps["EBA"], sweeps["CBA"]
 
     def row(label: str, result) -> ImpactRow:
         return ImpactRow(

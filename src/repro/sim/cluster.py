@@ -6,8 +6,10 @@ start only if they fit in the currently free cores (no reservation),
 scanning a bounded window so scheduling stays O(window).
 
 The queue is an **indexed ready-queue**
-(:class:`~repro.sim.events.ReadyQueue`): the window is a list of the
-first ``backfill_window`` jobs and the rest wait in a backlog deque.
+(:class:`~repro.sim.events.ReadyQueue`) of plain
+:data:`~repro.sim.events.QueueEntry` tuples, ``(job_id, user, cores,
+runtime_s)``: the window is a list of the first ``backfill_window``
+jobs and the rest wait in a backlog deque.
 A scan walks the window once, in order, starting every job that fits
 under the seed's exact test and filing each job it leaves behind into
 a blocked bucket keyed by (min free cores needed, blocking user) *at
@@ -47,21 +49,16 @@ Three machine-specific rules live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.sim.events import ReadyQueue
-from repro.sim.job import Job
+from repro.sim.events import QueueEntry, ReadyQueue
 from repro.sim.scenarios import SimMachine
 
 
-@dataclass(slots=True)
-class _Running:
-    job: Job
-    end_s: float
-
-
 class ClusterSim:
-    """Queue + capacity state of one machine inside the simulator."""
+    """Queue + capacity state of one machine inside the simulator.
+
+    ``running`` maps each running job's id to its queue entry and its
+    scheduled end time, in start order.
+    """
 
     __slots__ = (
         "machine",
@@ -91,7 +88,7 @@ class ClusterSim:
         self._capacity: int = max(1, self.total_cores)
         self.free_cores = self.total_cores
         self._ready = ReadyQueue(backfill_window)
-        self.running: dict[int, _Running] = {}
+        self.running: dict[int, tuple[QueueEntry, float]] = {}
         self._busy_users: set[int] = set()
         #: Committed core-seconds, split so running work can decay:
         #: queued demand is a plain sum; running remainders at time t are
@@ -109,9 +106,6 @@ class ClusterSim:
     def queue_length(self) -> int:
         return len(self._ready)
 
-    def user_busy(self, user: int) -> bool:
-        return user in self._busy_users
-
     def estimated_wait_s(self, now: float) -> float:
         """Backlog heuristic: committed core-seconds over capacity.
 
@@ -128,17 +122,18 @@ class ClusterSim:
         return committed / self._capacity if committed > 0.0 else 0.0
 
     # ------------------------------------------------------------------
-    def enqueue(self, job: Job) -> None:
-        runtime = job.runtime_s.get(self.name)
-        if runtime is None:
-            raise ValueError(
-                f"job {job.job_id} is not eligible on {self.name!r}"
-            )
-        self._ready.push(job, self.free_cores, self._busy_users)
-        self._queued_core_s += job.cores * runtime
+    def enqueue(self, entry: QueueEntry) -> None:
+        """Queue one job: ``(job_id, user, cores, runtime_s)``, with its
+        runtime on this machine (NaN, a machine it cannot use, raises)."""
+        job_id, _, cores, runtime = entry
+        if not runtime >= 0.0:
+            raise ValueError(f"job {job_id} is not eligible on {self.name!r}")
+        self._ready.push(entry, self.free_cores, self._busy_users)
+        self._queued_core_s += cores * runtime
 
-    def startable(self, now: float) -> list[Job]:
-        """Pop every job that can start right now (FCFS + backfill).
+    def startable(self, now: float) -> list[tuple[int, float]]:
+        """Start every job that can start right now (FCFS + backfill);
+        returns their ``(job_id, end_s)`` pairs in start order.
 
         The indexed fast path: when the ready-queue's blocked buckets
         prove no window job changed state since the last scan, return
@@ -157,28 +152,43 @@ class ClusterSim:
             return []
         if ready.synced:
             return []
-        started: list[Job] = []
-        kept: list[Job] = []
+        started: list[tuple[int, float]] = []
+        kept: list[QueueEntry] = []
         busy = self._busy_users
         users = ready.blocked_users
         users.clear()
         min_cores = float("inf")
         synced = True
         free = self.free_cores
-        for job in ready.window:
-            if job.user in busy:
-                users.add(job.user)
-            elif job.cores > free:
-                if job.cores < min_cores:
-                    min_cores = job.cores
+        queued = self._queued_core_s
+        running_cores = self._running_cores
+        running_end = self._running_end_core_s
+        for entry in ready.window:
+            job_id, user, cores, runtime = entry
+            if user in busy:
+                users.add(user)
+            elif cores > free:
+                if cores < min_cores:
+                    min_cores = cores
             elif cap is not None and len(running) >= cap:
                 synced = False  # fits, but waits on a slot
             else:
-                self._start(job, now)
-                started.append(job)
-                free = self.free_cores
+                # Start it: the same float operations, in the same
+                # order, as starting one job at a time.
+                free -= cores
+                end = now + runtime
+                running[job_id] = (entry, end)
+                busy.add(user)
+                queued -= cores * runtime
+                running_cores += cores
+                running_end += cores * end
+                started.append((job_id, end))
                 continue
-            kept.append(job)
+            kept.append(entry)
+        self.free_cores = free
+        self._queued_core_s = queued
+        self._running_cores = running_cores
+        self._running_end_core_s = running_end
         ready.window = kept
         ready.min_blocked_cores = min_cores
         ready.synced = synced
@@ -189,46 +199,23 @@ class ClusterSim:
             ready.push(backlog.popleft(), free, busy)
         return started
 
-    def _start(self, job: Job, now: float) -> None:
-        self.free_cores -= job.cores
-        if self.free_cores < 0:
-            raise RuntimeError(
-                f"over-allocated {self.name}: free cores {self.free_cores}"
-            )
-        runtime = job.runtime_s[self.name]
-        end = now + runtime
-        self.running[job.job_id] = _Running(job=job, end_s=end)
-        self._busy_users.add(job.user)
-        self._queued_core_s -= job.cores * runtime
-        self._running_cores += job.cores
-        self._running_end_core_s += job.cores * end
-
-    def finish(self, job_id: int) -> Job:
-        """Release a running job's resources; returns the job."""
-        entry = self.running.pop(job_id)
-        job = entry.job
-        self.free_cores += job.cores
-        self._running_cores -= job.cores
-        self._running_end_core_s -= job.cores * entry.end_s
+    def finish(self, job_id: int) -> QueueEntry:
+        """Release a running job's resources; returns its queue entry."""
+        entry, end_s = self.running.pop(job_id)
+        _, user, cores, _ = entry
+        self.free_cores += cores
+        self._running_cores -= cores
+        self._running_end_core_s -= cores * end_s
         # The user may have exactly one job here, so membership is safe
         # to clear unconditionally.
-        self._busy_users.discard(job.user)
-        self._ready.note_release(job.user, self.free_cores)
-        return job
+        self._busy_users.discard(user)
+        self._ready.note_release(user, self.free_cores)
+        return entry
 
     def reschedule_end(self, job_id: int, end_s: float) -> None:
         """Move a running job's finish time (migration continuations
         carry only their remaining runtime), keeping the committed
         remainder accounting consistent."""
-        entry = self.running[job_id]
-        self._running_end_core_s += entry.job.cores * (end_s - entry.end_s)
-        entry.end_s = end_s
-
-    def end_time_of(self, job_id: int) -> float:
-        return self.running[job_id].end_s
-
-    @property
-    def utilization(self) -> float:
-        """Currently busy fraction of cores."""
-        total = self.total_cores
-        return (total - self.free_cores) / total if total else 0.0
+        entry, old_end = self.running[job_id]
+        self._running_end_core_s += entry[2] * (end_s - old_end)
+        self.running[job_id] = (entry, end_s)

@@ -34,6 +34,18 @@ Pricing follows the quote-table / settle contract of
    and appended to an :class:`~repro.accounting.spill.OutcomeSpillStore`
    — in memory by default, as ``.npz`` segments under ``spill_dir``.
 
+The loop is **row-indexed**: no :class:`~repro.sim.job.Job` or
+per-machine view object is built between the quote shard and
+settlement.  An arrival is its row in the chunk
+(:class:`~repro.sim.events.EventCalendar` payload); the policy's
+:meth:`~repro.sim.policies.Policy.select` gets that row's quote tuples
+plus one wait estimate per eligible machine and returns an index; the
+chosen cluster queues a ``(job_id, user, cores, runtime)`` tuple; and
+the finish log holds ``(job_id, machine code, start, end)`` entries that
+:meth:`~repro.accounting.pricing.ShardedPricingKernel.price_block`
+settles.  A chunk that arrives as a job list is columnized first
+(:meth:`~repro.sim.job.JobBlock.from_jobs`).
+
 Each chunk's arrivals are spliced into the calendar before the next
 pop, so event order equals that of a run that saw the whole workload at
 once, and the completion-ordered blocks back one
@@ -53,22 +65,28 @@ from repro.accounting.pricing import (
     FloatArray,
     IntArray,
     OutcomeTable,
+    Quote,
     QuoteTable,
     ShardedPricingKernel,
 )
 from repro.accounting.spill import OutcomeSpillStore
 from repro.sim.cluster import ClusterSim
 from repro.sim.events import ARRIVAL, EventCalendar
-from repro.sim.job import Job, JobBlock, JobOutcome
-from repro.sim.policies import MachineView, Policy
+from repro.sim.job import JobBlock, JobOutcome
+from repro.sim.policies import Policy
 from repro.sim.scenarios import SimMachine
 from repro.sim.workload import JobChunk, StreamingWorkload, Workload
 
 #: Finished jobs settled (and spilled) per block.
 DEFAULT_SPILL_BLOCK_JOBS = 32_768
 
-#: Per-job ``(machine, runtime, energy, quoted cost)`` views of a shard.
-QuoteViews = list[list[tuple[str, float, float, float]]]
+#: One eligibility walk of a chunk: its machines' codes, clusters and
+#: names, in the walk's order.
+_Walk = tuple[tuple[int, ...], tuple[ClusterSim, ...], tuple[str, ...]]
+
+#: What a chunk's arrivals read by row (see ``MultiClusterSimulator.run``):
+#: the quotes, the walks they index, and the job ids, users and cores.
+_Chunk = tuple[list[Quote], list[_Walk], list[int], list[int], list[int]]
 
 
 def _running_sums(column: FloatArray, carry: float | None) -> FloatArray:
@@ -333,14 +351,12 @@ class SimulationResult:
         )
 
 
-def _chunk_columns(
-    chunk: JobChunk, machine_names: Sequence[str]
-) -> tuple[JobBlock, Sequence[Job]]:
-    """A stream chunk as (columns to price, jobs to run): a block
-    assembles its jobs once; a job list is columnized and runs as is."""
+def _chunk_block(chunk: JobChunk, machine_names: Sequence[str]) -> JobBlock:
+    """A stream chunk as the columns it runs from: a block as is, a job
+    list columnized."""
     if isinstance(chunk, JobBlock):
-        return chunk, chunk.jobs()
-    return JobBlock.from_jobs(chunk, machine_names), chunk
+        return chunk
+    return JobBlock.from_jobs(chunk, machine_names)
 
 
 class MultiClusterSimulator:
@@ -428,85 +444,100 @@ class MultiClusterSimulator:
         blocks when the spill store keeps them in memory.
         """
         names = list(self.pricings)
-        chunks: Iterator[tuple[JobBlock, Sequence[Job]]]
+        blocks: Iterator[JobBlock]
         if isinstance(workload, StreamingWorkload):
             if self.quote_table is not None:
                 raise ValueError(
                     "a prebuilt quote table cannot back a streaming run; "
                     "shards are built per chunk"
                 )
-            chunks = (_chunk_columns(chunk, names) for chunk in workload.chunks())
+            blocks = (_chunk_block(chunk, names) for chunk in workload.chunks())
             source = workload.source
         else:
-            chunks = iter(((workload.block(names), workload.jobs),))
+            blocks = iter((workload.block(names),))
             source = "<memory>"
-        clusters = {name: ClusterSim(m) for name, m in self.machines.items()}
+        #: Clusters by machine code (the quote tables' machine index).
+        clusters = [ClusterSim(self.machines[name]) for name in names]
         kernel = ShardedPricingKernel(self.pricings, self.method, workload_token=source)
         calendar = EventCalendar()
         store = OutcomeSpillStore(kernel.machine_names, directory=self.spill_dir)
-        pending: list[tuple[Job, str, float, float]] = []
+        #: The finish log not yet settled: (job_id, machine code,
+        #: start_s, end_s), in completion order.
+        pending: list[tuple[int, int, float, float]] = []
         block_jobs = self.spill_block_jobs
 
         def settle_pending() -> None:
             store.append(kernel.price_block(pending))
             pending.clear()
 
-        def load_next_chunk() -> tuple[QuoteViews, dict[int, int]]:
-            """Load the next non-empty chunk; its shard's quote views.
+        def load_next_chunk() -> _Chunk:
+            """Load the next non-empty chunk and return what its arrivals
+            read by row: the quotes, the walks they index, and the job
+            ids, users and cores.
 
             Jobs that have finished are settled first, so the chunk's
             id check sees exactly the jobs still queued or running.
             """
-            for block, jobs in chunks:
-                if jobs:
+            for block in blocks:
+                if len(block):
                     if pending:
                         settle_pending()
-                    shard = kernel.load_chunk(block, self.quote_table)
-                    calendar.refill(jobs)
-                    return shard.kernel.static_views, shard.kernel.row_of
-            return [], {}
+                    table = kernel.load_chunk(block, self.quote_table).kernel
+                    calendar.refill(table.submit)
+                    walks = [
+                        (walk, tuple(clusters[mi] for mi in walk), walk_names)
+                        for walk, walk_names in zip(table.walks, table.walk_names)
+                    ]
+                    return (
+                        table.quotes,
+                        walks,
+                        table.job_id.tolist(),
+                        table.user.tolist(),
+                        table.cores.tolist(),
+                    )
+            return [], [], [], [], []
 
         schedule_finish = calendar.schedule_finish
         select = self.policy.select
 
-        def try_start(cluster: ClusterSim, now: float) -> None:
+        def try_start(code: int, cluster: ClusterSim, now: float) -> None:
             if cluster.free_cores <= 0 or not cluster.queue_length:
                 return
-            for job in cluster.startable(now):
-                end = cluster.end_time_of(job.job_id)
-                #: Finish payload: (machine, job_id, start_time).
-                schedule_finish(end, (cluster.name, job.job_id, now))
+            for job_id, end in cluster.startable(now):
+                #: Finish payload: (machine code, job_id, start time).
+                schedule_finish(end, (code, job_id, now))
 
         try:
-            static_views, row_of = load_next_chunk()
+            quotes, walks, job_ids, users, cores = load_next_chunk()
             while True:
                 event = calendar.pop()
                 if event is None:
                     break
                 now, kind, payload = event
                 if kind == ARRIVAL:
-                    job = payload
-                    views = [
-                        MachineView(
-                            name, rt, en, clusters[name].estimated_wait_s(now), cost
+                    row: int = payload  # type: ignore[assignment]
+                    walk, runtime, energy, cost = quotes[row]
+                    codes, candidates, machine_names = walks[walk]
+                    if candidates:
+                        wait = [c.estimated_wait_s(now) for c in candidates]
+                        i = select(machine_names, runtime, energy, wait, cost)
+                        cluster = candidates[i]
+                        cluster.enqueue(
+                            (job_ids[row], users[row], cores[row], runtime[i])
                         )
-                        for name, rt, en, cost in static_views[row_of[job.job_id]]
-                    ]
-                    if views:
-                        cluster = clusters[select(job, views)]
-                        cluster.enqueue(job)
-                        try_start(cluster, now)
+                        try_start(codes[i], cluster, now)
                     else:
-                        kernel.discard(job.job_id)
+                        kernel.discard(job_ids[row])
                     if not calendar.arrivals_pending:
-                        static_views, row_of = load_next_chunk()
+                        quotes, walks, job_ids, users, cores = load_next_chunk()
                 else:
-                    machine_name, job_id, start_s = payload
-                    cluster = clusters[machine_name]
-                    pending.append((cluster.finish(job_id), machine_name, start_s, now))
+                    code, job_id, start_s = payload  # type: ignore[misc]
+                    cluster = clusters[code]
+                    cluster.finish(job_id)
+                    pending.append((job_id, code, start_s, now))
                     if len(pending) >= block_jobs:
                         settle_pending()
-                    try_start(cluster, now)
+                    try_start(code, cluster, now)
             if pending:
                 settle_pending()
         except BaseException:

@@ -8,12 +8,13 @@ the two pieces they now share:
 
 * :class:`EventCalendar` — one ``(time, kind, seq)`` event discipline
   for the engine, the migration simulator, and (through the engine) the
-  shifting simulator.  Arrivals are consumed from the submit-sorted job
-  list instead of living in the heap, so the heap only ever holds
-  finish events and pushes/pops stay shallow; the single periodic
-  re-evaluation tick is a scalar, not a heap entry.  The pop order is
-  identical to the seed loops: at equal times arrivals precede
-  finishes, finishes precede ticks, and ties within a kind keep
+  shifting simulator.  Arrivals are consumed from a chunk's
+  submit-sorted submit column instead of living in the heap, so the
+  heap only ever holds finish events and pushes/pops stay shallow; an
+  arrival's payload is its row in the chunk, never a job object.  The
+  single periodic re-evaluation tick is a scalar, not a heap entry.
+  The pop order is identical to the seed loops: at equal times arrivals
+  precede finishes, finishes precede ticks, and ties within a kind keep
   submission/push order.
 
 * :class:`ReadyQueue` — the indexed ready-queue behind
@@ -22,7 +23,8 @@ the two pieces they now share:
   first ``window`` queued jobs, in order, starting every one that
   fits), but the window is a list of its own with the rest of the queue
   in a backlog deque, so a scan reads O(window) jobs however long the
-  backlog grows.  Per-cluster blocked buckets keyed by (min free cores
+  backlog grows.  Entries are plain :data:`QueueEntry` tuples.
+  Per-cluster blocked buckets keyed by (min free cores
   needed, blocking user) answer a finish or enqueue that provably
   cannot change any job's state in O(1), so the scan only runs when
   the index says some job may actually start.  Every scan visits the
@@ -35,15 +37,16 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.job import Job
+from typing import Sequence
 
 #: Event kinds, in tie-break priority order at equal times.
 ARRIVAL = 0
 FINISH = 1
 TICK = 2
+
+#: One queued job: ``(job_id, user, cores, runtime_s)``, the runtime
+#: being the job's on the machine whose queue holds the entry.
+QueueEntry = tuple[int, int, int, float]
 
 
 class EventCalendar:
@@ -51,10 +54,12 @@ class EventCalendar:
 
     Three streams feed a simulation:
 
-    * **arrivals** — known up front; kept as a submit-sorted list plus a
-      cursor (a stable sort, skipped when the list is already ordered,
-      so equal-time arrivals keep submission order exactly like the seed
-      loops' ``(time, kind, seq)`` heaps did);
+    * **arrivals** — known up front, one chunk at a time; kept as the
+      chunk's submit times in stable submit order plus a cursor.  An
+      arrival's payload is its row in the chunk.  A chunk already in
+      order is taken as is; otherwise a stable row permutation orders
+      it, so equal-time arrivals keep submission order exactly like the
+      seed loops' ``(time, kind, seq)`` heaps did;
     * **finishes** — scheduled as jobs start; a heap of
       ``(time, seq, payload)`` where ``seq`` preserves push order among
       equal times;
@@ -70,7 +75,8 @@ class EventCalendar:
     """
 
     __slots__ = (
-        "arrivals",
+        "_times",
+        "_rows",
         "_ai",
         "_n",
         "_finishes",
@@ -79,8 +85,11 @@ class EventCalendar:
         "_last_arrival",
     )
 
-    def __init__(self, jobs: Sequence["Job"] = ()) -> None:
-        self.arrivals: Sequence["Job"] = ()
+    def __init__(self, submit: Sequence[float] = ()) -> None:
+        #: The current chunk's submit times in pop order, and the chunk
+        #: row of each (a ``range`` when the chunk came in order).
+        self._times: Sequence[float] = ()
+        self._rows: Sequence[int] = range(0)
         self._ai = 0
         self._n = 0
         #: Finish heap entries: (time_s, seq, payload).
@@ -88,41 +97,48 @@ class EventCalendar:
         self._seq = 0
         self._next_tick: float | None = None
         self._last_arrival = float("-inf")
-        self.refill(jobs)
+        self.refill(submit)
 
     # ------------------------------------------------------------------
     @property
     def arrivals_pending(self) -> bool:
-        """True while unconsumed arrivals remain in the current list."""
+        """True while unconsumed arrivals remain in the current chunk."""
         return self._ai < self._n
 
-    def refill(self, jobs: Sequence["Job"]) -> None:
-        """Replace the exhausted arrival list with the next chunk.
+    def refill(self, submit: Sequence[float]) -> None:
+        """Replace the exhausted arrivals with the next chunk's.
 
-        The engine feeds arrivals chunk by chunk (an in-memory workload
-        is one chunk).  A chunk is taken in stable submit order — sorted
-        only when it is not already ordered, so equal-time arrivals keep
-        submission order — and must continue the global submit order
-        against the last arrival already handed out, because the pop
-        discipline merges arrivals against the finish heap by comparing
-        only the *next* arrival's time.  A refill is only legal once the
-        previous chunk is fully consumed (otherwise pending arrivals
-        would be dropped).
+        ``submit`` is the chunk's submit column; each arrival this chunk
+        pops carries its row in it.  The engine feeds arrivals chunk by
+        chunk (an in-memory workload is one chunk).  A chunk is taken in
+        stable submit order — permuted only when it is not already
+        ordered, so equal-time arrivals keep submission order — and must
+        continue the global submit order against the last arrival
+        already handed out, because the pop discipline merges arrivals
+        against the finish heap by comparing only the *next* arrival's
+        time.  A refill is only legal once the previous chunk is fully
+        consumed (otherwise pending arrivals would be dropped).
         """
         if self._ai < self._n:
             raise RuntimeError("refill with arrivals still pending")
-        if not all(a.submit_s <= b.submit_s for a, b in zip(jobs, jobs[1:])):
-            jobs = sorted(jobs, key=lambda j: j.submit_s)
-        if jobs and jobs[0].submit_s < self._last_arrival:
+        # An array column converts to Python floats once, here.
+        tolist = getattr(submit, "tolist", None)
+        times: list[float] = tolist() if tolist is not None else list(submit)
+        rows: Sequence[int] = range(len(times))
+        if not all(a <= b for a, b in zip(times, times[1:])):
+            rows = sorted(rows, key=times.__getitem__)
+            times = [times[row] for row in rows]
+        if times and times[0] < self._last_arrival:
             raise ValueError(
                 "refill chunk breaks submit order: arrivals must be "
                 "non-decreasing across chunks"
             )
-        self.arrivals = jobs
+        self._times = times
+        self._rows = rows
         self._ai = 0
-        self._n = len(jobs)
+        self._n = len(times)
         if self._n:
-            self._last_arrival = jobs[-1].submit_s
+            self._last_arrival = times[-1]
 
     def next_disturbance(self) -> float:
         """Earliest pending arrival or finish time (``+inf`` if neither).
@@ -138,7 +154,7 @@ class EventCalendar:
         """
         horizon = float("inf")
         if self._ai < self._n:
-            horizon = self.arrivals[self._ai].submit_s
+            horizon = self._times[self._ai]
         if self._finishes and self._finishes[0][0] < horizon:
             horizon = self._finishes[0][0]
         return horizon
@@ -164,7 +180,7 @@ class EventCalendar:
     def pop(self) -> tuple[float, int, object] | None:
         """The next event as ``(now, kind, payload)``, or None when empty.
 
-        Arrival payloads are the :class:`~repro.sim.job.Job`; finish
+        Arrival payloads are the arrival's row in its chunk; finish
         payloads are whatever :meth:`schedule_finish` stored; tick
         payloads are ``None``.
         """
@@ -172,13 +188,12 @@ class EventCalendar:
         finishes = self._finishes
         tick = self._next_tick
         if ai < self._n:
-            job = self.arrivals[ai]
-            t_arr = job.submit_s
+            t_arr = self._times[ai]
             if (not finishes or t_arr <= finishes[0][0]) and (
                 tick is None or t_arr <= tick
             ):
                 self._ai = ai + 1
-                return t_arr, ARRIVAL, job
+                return t_arr, ARRIVAL, self._rows[ai]
         if finishes and (tick is None or finishes[0][0] <= tick):
             time_s, _, payload = heapq.heappop(finishes)
             return time_s, FINISH, payload
@@ -231,8 +246,8 @@ class ReadyQueue:
     def __init__(self, window: int) -> None:
         if window < 1:
             raise ValueError("backfill window must be >= 1")
-        self.window: list["Job"] = []
-        self.backlog: deque["Job"] = deque()
+        self.window: list[QueueEntry] = []
+        self.backlog: deque[QueueEntry] = deque()
         self.size = window
         self.min_blocked_cores: float = float("inf")
         self.blocked_users: set[int] = set()
@@ -242,8 +257,10 @@ class ReadyQueue:
         return len(self.window) + len(self.backlog)
 
     # ------------------------------------------------------------------
-    def push(self, job: "Job", free_cores: int, busy_users: set[int]) -> None:
-        """Append ``job`` and classify it against the current state.
+    def push(
+        self, entry: QueueEntry, free_cores: int, busy_users: set[int]
+    ) -> None:
+        """Append ``entry`` and classify it against the current state.
 
         Enqueueing changes nothing for jobs already queued, so a synced
         index stays synced: the new job either lands in the backlog
@@ -252,16 +269,17 @@ class ReadyQueue:
         the next scan really runs.
         """
         if len(self.window) == self.size:
-            self.backlog.append(job)
+            self.backlog.append(entry)
             return
-        self.window.append(job)
+        self.window.append(entry)
         if not self.synced:
             return
-        if job.user in busy_users:
-            self.blocked_users.add(job.user)
-        elif job.cores > free_cores:
-            if job.cores < self.min_blocked_cores:
-                self.min_blocked_cores = job.cores
+        _, user, cores, _ = entry
+        if user in busy_users:
+            self.blocked_users.add(user)
+        elif cores > free_cores:
+            if cores < self.min_blocked_cores:
+                self.min_blocked_cores = cores
         else:
             self.synced = False
 

@@ -6,10 +6,13 @@ is the paper's machine-neutral progress metric — "the average number of
 core hours required to run a job across all machines", which weights
 larger and longer jobs more without favouring any one machine.
 
-Jobs come in two shapes.  :class:`Job` is one record with per-machine
-dicts, which is what the event loop, the clusters and the policies
-carry.  :class:`JobBlock` is a chunk of jobs as columns, which is what
-ingestion produces and what the quote table prices.
+Jobs come in two shapes.  :class:`JobBlock` is a chunk of jobs as
+columns: what ingestion produces, what the quote table prices, and what
+the engine's event loop runs from — by row, so no per-job object is
+built between the quote shard and settlement.  :class:`Job` is one
+record with per-machine dicts: what workload generators and callers
+hand in as a job list, what the migration simulator keeps per job, and
+what the reference oracles in the test suite carry.
 :meth:`JobBlock.from_jobs` and :meth:`JobBlock.jobs` are the only
 conversions between the two.
 """
@@ -91,9 +94,6 @@ class Job:
         if self._work_core_hours is None:
             self._work_core_hours = _work(self.cores, self.runtime_s.values())
         return self._work_core_hours
-
-    def core_seconds_on(self, machine: str) -> float:
-        return self.cores * self.runtime_s[machine]
 
 
 def _work(cores: int, runtimes: Collection[float]) -> float:

@@ -63,10 +63,13 @@ crossover changes speed, never a decision: outcomes are
 keeps as its oracle for all five accounting methods.
 
 Events come from the shared :class:`~repro.sim.events.EventCalendar`:
-arrivals are consumed from the submit-sorted job list, only finishes
-live in the heap, and the single outstanding re-evaluation boundary is
-a scalar tick — the same ``(time, kind, seq)`` order as the seed's
-all-in-one heap, without pushing every arrival through it.
+arrivals are consumed from the submit-sorted submit column (an
+arrival's payload is its row, mapped back to ``workload.jobs[row]``),
+only finishes live in the heap, and the single outstanding
+re-evaluation boundary is a scalar tick — the same ``(time, kind,
+seq)`` order as the seed's all-in-one heap, without pushing every
+arrival through it.  A finish carries its segment's generation; a
+preempted segment's finish no longer matches the job's and is dropped.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ from repro.sim.cluster import ClusterSim
 from repro.sim.engine import SimulationResult, pricing_for_sim_machine
 from repro.sim.events import ARRIVAL, FINISH, EventCalendar
 from repro.sim.job import ELIG_RANK_INELIGIBLE, Job, JobOutcome
-from repro.sim.policies import MachineView, Policy
+from repro.sim.policies import Policy
 from repro.sim.scenarios import SimMachine
 from repro.sim.workload import Workload
 
@@ -102,6 +105,9 @@ class _Progress:
     segment_start_s: float = 0.0
     segment_machine: str = ""
     is_continuation: bool = False
+    #: Generation of the job's segment: bumped when a segment is
+    #: preempted, so a finish scheduled for it is recognisably stale.
+    segment: int = 0
 
 
 #: Live running-row count at or above which a re-evaluation tick takes
@@ -467,37 +473,42 @@ class MigratingSimulator:
         }
         running_table = self._running = RunningTable()
         name_idx = self._name_idx
-        static_views = kernel.static_views
+        quotes = kernel.quotes
+        walk_names = kernel.walk_names
+        walk_clusters = [
+            tuple(clusters[name] for name in names) for names in walk_names
+        ]
         row_of = kernel.row_of
         every = self.reevaluate_every_s
+        jobs = workload.jobs
 
-        calendar = EventCalendar(workload.jobs)
-        if workload.jobs:
-            calendar.schedule_tick(workload.jobs[0].submit_s + every)
+        calendar = EventCalendar(kernel.submit)
+        if jobs:
+            calendar.schedule_tick(jobs[0].submit_s + every)
 
         #: Finish log: (job_id, end time), in completion order.
         finish_log: list[tuple[int, float]] = []
-        active = len(workload.jobs)
+        active = len(jobs)
 
         def try_start(cluster: ClusterSim, now: float) -> None:
-            for job in cluster.startable(now):
-                state = progress[job.job_id]
+            for job_id, _ in cluster.startable(now):
+                state = progress[job_id]
                 if state.first_start_s is None:
                     state.first_start_s = now
                 state.segment_start_s = now
                 state.segment_machine = cluster.name
-                state.is_continuation = job.job_id in pending_runtime
+                state.is_continuation = job_id in pending_runtime
                 runtime = pending_runtime.get(
-                    job.job_id, job.runtime_s[cluster.name]
+                    job_id, state.job.runtime_s[cluster.name]
                 )
                 end = now + runtime
                 # ClusterSim scheduled the full runtime; continuations
                 # carry only their remainder.
-                cluster.reschedule_end(job.job_id, end)
-                calendar.schedule_finish(end, (cluster.name, job.job_id))
+                cluster.reschedule_end(job_id, end)
+                calendar.schedule_finish(end, (cluster.name, job_id, state.segment))
                 running_table.add(
-                    job.job_id,
-                    row_of[job.job_id],
+                    job_id,
+                    row_of[job_id],
                     name_idx[cluster.name],
                     now,
                     end,
@@ -509,29 +520,27 @@ class MigratingSimulator:
             now, kind, payload = calendar.pop()
 
             if kind == ARRIVAL:
-                job = payload  # type: ignore[assignment]
-                views = [
-                    MachineView(
-                        name, rt, en, clusters[name].estimated_wait_s(now), cost
-                    )
-                    for name, rt, en, cost in static_views[row_of[job.job_id]]
-                ]
-                if not views:
+                row: int = payload  # type: ignore[assignment]
+                job = jobs[row]
+                walk, runtime, energy, cost = quotes[row]
+                candidates = walk_clusters[walk]
+                if not candidates:
                     active -= 1
                     continue
-                choice = self.policy.select(job, views)
-                clusters[choice].enqueue(job)
-                try_start(clusters[choice], now)
+                wait = [c.estimated_wait_s(now) for c in candidates]
+                i = self.policy.select(walk_names[walk], runtime, energy, wait, cost)
+                cluster = candidates[i]
+                cluster.enqueue((job.job_id, job.user, job.cores, runtime[i]))
+                try_start(cluster, now)
 
             elif kind == FINISH:
-                machine_name, job_id = payload  # type: ignore[misc]
-                cluster = clusters[machine_name]
-                entry = cluster.running.get(job_id)
-                if entry is None or abs(entry.end_s - now) > 1e-6:
+                machine_name, job_id, segment = payload  # type: ignore[misc]
+                state = progress[job_id]
+                if segment != state.segment:
                     continue  # stale event from a migrated segment
+                cluster = clusters[machine_name]
                 cluster.finish(job_id)
                 running_table.remove(job_id)
-                state = progress[job_id]
                 self._charge_segment(
                     state, state.remaining_fraction, state.is_continuation
                 )
@@ -596,10 +605,9 @@ class MigratingSimulator:
         """
         candidates: list[tuple[ClusterSim, int, _Progress, Job, float, float]] = []
         for cluster in clusters.values():
-            for job_id, entry in cluster.running.items():
+            for job_id, (_, end_s) in cluster.running.items():
                 state = progress[job_id]
                 job = state.job
-                end_s = entry.end_s
                 segment_total = end_s - state.segment_start_s
                 if segment_total <= 0 or now >= end_s - 1e-9:
                     continue
@@ -634,19 +642,48 @@ class MigratingSimulator:
                     best_name, best_cost = name, cost
             if best_name is None or best_cost > stay * (1.0 - self.min_saving):
                 continue
-
-            # Bill the partial segment, release, and requeue.
-            self._charge_segment(state, frac_done, state.is_continuation)
-            state.remaining_fraction = remaining
-            state.migrations += 1
-            cluster.finish(job_id)
-            self._running.remove(job_id)
-            pending_runtime[job_id] = (
-                job.runtime_s[best_name] * remaining + self.overhead_s
+            self._migrate(
+                clusters,
+                pending_runtime,
+                state,
+                cluster,
+                best_name,
+                remaining,
+                frac_done,
             )
-            clusters[best_name].enqueue(job)
             moved_any = True
         return moved_any
+
+    def _migrate(
+        self,
+        clusters: dict[str, ClusterSim],
+        pending_runtime: dict[int, float],
+        state: _Progress,
+        cluster: ClusterSim,
+        target: str,
+        remaining: float,
+        frac_done: float,
+    ) -> None:
+        """Bill a running job's partial segment, release it from
+        ``cluster`` and requeue its continuation on ``target``.
+
+        The preempted segment's finish event stays in the calendar; the
+        generation bump makes it stale.  The continuation queues with
+        the job's full runtime on ``target``, as a fresh job would, and
+        starts with only ``pending_runtime``: the remainder plus the
+        checkpoint/restart overhead.
+        """
+        job = state.job
+        job_id = job.job_id
+        self._charge_segment(state, frac_done, state.is_continuation)
+        state.remaining_fraction = remaining
+        state.migrations += 1
+        state.segment += 1
+        cluster.finish(job_id)
+        self._running.remove(job_id)
+        runtime = job.runtime_s[target]
+        pending_runtime[job_id] = runtime * remaining + self.overhead_s
+        clusters[target].enqueue((job_id, job.user, job.cores, runtime))
 
     def _probe_costs_indexed(
         self,
@@ -844,7 +881,6 @@ class MigratingSimulator:
         tied = move[mk] == best_cost[mk, None]
         best_mi = np.where(tied, ranks, ELIG_RANK_INELIGIBLE).argmin(axis=1)
         names = kernel.machine_names
-        overhead = self.overhead_s
         # Swap-with-last removal renumbers rows, so resolve every
         # mover's state before the first remove invalidates the indices.
         mover_states = [table.states[row] for row in rows[mk].tolist()]
@@ -855,17 +891,15 @@ class MigratingSimulator:
             remaining[mk].tolist(),
             frac_done[mk].tolist(),
         ):
-            job = state.job
-            best_name = names[mi_best]
-            self._charge_segment(state, fdone, state.is_continuation)
-            state.remaining_fraction = rem
-            state.migrations += 1
-            clusters[names[mi_cur]].finish(job.job_id)
-            table.remove(job.job_id)
-            pending_runtime[job.job_id] = (
-                job.runtime_s[best_name] * rem + overhead
+            self._migrate(
+                clusters,
+                pending_runtime,
+                state,
+                clusters[names[mi_cur]],
+                names[mi_best],
+                rem,
+                fdone,
             )
-            clusters[best_name].enqueue(job)
         return j
 
     def _outcome(self, state: _Progress, end_s: float) -> JobOutcome:

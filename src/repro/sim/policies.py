@@ -1,51 +1,40 @@
 """The eight machine-selection policies of §5.3.
 
-A policy sees, for one job at submission time, a per-machine
-:class:`MachineView` (predicted runtime/energy, estimated queue wait,
-and the cost the active accounting method would charge) and picks a
-machine.  Single-machine policies are instances of
-:class:`FixedMachinePolicy`.
+A policy sees one job at submission time as per-machine sequences, all
+in the job's own eligibility order: the machine names, the predicted
+runtimes and energies, the estimated queue waits, and the costs the
+active accounting method would charge.  It returns the *index* of the
+machine it picks.  Every built-in is an argmin over one of those
+sequences that keeps the first minimum, i.e. ties go to the machine
+earliest in the job's eligibility order.  Single-machine policies are
+instances of :class:`FixedMachinePolicy`.
 
-Only Greedy and Mixed read a view's ``cost``.  Every other built-in
-policy sets :attr:`Policy.reads_cost` to ``False``: its choice, and so
-the whole schedule of a run, is the same under every accounting method,
-which lets a sweep simulate such a policy once per workload and settle
-that schedule under each method (see :mod:`repro.sim.sweep`).
+Only Greedy and Mixed read ``cost``.  Every other built-in policy sets
+:attr:`Policy.reads_cost` to ``False``: its choice, and so the whole
+schedule of a run, is the same under every accounting method, which
+lets a sweep simulate such a policy once per workload and settle that
+schedule under each method (see :mod:`repro.sim.sweep`).
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-
-from repro.sim.job import Job
+from typing import Sequence
 
 
-@dataclass(slots=True)
-class MachineView:
-    """What a policy knows about one candidate machine for one job.
+def _argmin(values: Sequence[float]) -> int:
+    """Index of the first minimum of ``values``.
 
-    A plain slots dataclass (not frozen): the engine builds one view per
-    (arrival x eligible machine), so construction cost is a measurable
-    part of the simulation hot loop.  Treat instances as immutable.
+    ``min`` keeps the first of equal minima and ``index`` finds the
+    first element equal to it, which is that same position.
     """
-
-    machine: str
-    runtime_s: float
-    energy_j: float
-    queue_wait_s: float
-    cost: float
-
-    @property
-    def completion_s(self) -> float:
-        """Expected completion latency: queue wait + runtime."""
-        return self.queue_wait_s + self.runtime_s
+    return values.index(min(values))
 
 
 class Policy(abc.ABC):
     """Machine-selection strategy.
 
-    ``reads_cost`` declares whether :meth:`select` may look at a view's
+    ``reads_cost`` declares whether :meth:`select` may look at
     ``cost``.  ``False`` promises that the choice is the same whatever
     the costs are, so a sweep may reuse one method's schedule for
     every other method.  It defaults to ``True``, the safe answer for a
@@ -56,11 +45,21 @@ class Policy(abc.ABC):
     reads_cost: bool = True
 
     @abc.abstractmethod
-    def select(self, job: Job, views: list[MachineView]) -> str:
-        """Choose one of the candidate machines for ``job``.
+    def select(
+        self,
+        names: Sequence[str],
+        runtime: Sequence[float],
+        energy: Sequence[float],
+        wait: Sequence[float],
+        cost: Sequence[float],
+    ) -> int:
+        """Choose one candidate machine for a job; returns its index.
 
-        ``views`` is non-empty and contains only machines the job is
-        eligible to run on.
+        The five sequences are non-empty, of equal length, and list the
+        machines the job is eligible to run on in its eligibility order:
+        ``names[i]`` runs it in ``runtime[i]`` seconds for
+        ``energy[i]`` joules after an estimated ``wait[i]`` seconds of
+        queueing, and the active method would charge ``cost[i]``.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -72,8 +71,15 @@ class GreedyPolicy(Policy):
 
     name = "Greedy"
 
-    def select(self, job: Job, views: list[MachineView]) -> str:
-        return min(views, key=lambda v: v.cost).machine
+    def select(
+        self,
+        names: Sequence[str],
+        runtime: Sequence[float],
+        energy: Sequence[float],
+        wait: Sequence[float],
+        cost: Sequence[float],
+    ) -> int:
+        return _argmin(cost)
 
 
 class EnergyPolicy(Policy):
@@ -82,8 +88,15 @@ class EnergyPolicy(Policy):
     name = "Energy"
     reads_cost = False
 
-    def select(self, job: Job, views: list[MachineView]) -> str:
-        return min(views, key=lambda v: v.energy_j).machine
+    def select(
+        self,
+        names: Sequence[str],
+        runtime: Sequence[float],
+        energy: Sequence[float],
+        wait: Sequence[float],
+        cost: Sequence[float],
+    ) -> int:
+        return _argmin(energy)
 
 
 class MixedPolicy(Policy):
@@ -92,7 +105,8 @@ class MixedPolicy(Policy):
     "Select machine with the least allocation cost *unless* another
     machine can complete the job in half the time, in which case select
     that machine."  The ``speedup_threshold`` (2x in the paper) is a
-    parameter so the ablation benchmark can sweep it.
+    parameter so the ablation benchmark can sweep it.  Completion time
+    is ``wait[i] + runtime[i]``.
     """
 
     name = "Mixed"
@@ -102,16 +116,24 @@ class MixedPolicy(Policy):
             raise ValueError("speedup threshold must be >= 1")
         self.speedup_threshold = speedup_threshold
 
-    def select(self, job: Job, views: list[MachineView]) -> str:
-        cheapest = min(views, key=lambda v: v.cost)
-        fastest = min(views, key=lambda v: v.completion_s)
+    def select(
+        self,
+        names: Sequence[str],
+        runtime: Sequence[float],
+        energy: Sequence[float],
+        wait: Sequence[float],
+        cost: Sequence[float],
+    ) -> int:
+        cheapest = _argmin(cost)
+        completion = [w + r for w, r in zip(wait, runtime)]
+        fastest = _argmin(completion)
         if (
-            fastest.machine != cheapest.machine
-            and fastest.completion_s
-            <= cheapest.completion_s / self.speedup_threshold
+            fastest != cheapest
+            and completion[fastest]
+            <= completion[cheapest] / self.speedup_threshold
         ):
-            return fastest.machine
-        return cheapest.machine
+            return fastest
+        return cheapest
 
 
 class EFTPolicy(Policy):
@@ -120,8 +142,15 @@ class EFTPolicy(Policy):
     name = "EFT"
     reads_cost = False
 
-    def select(self, job: Job, views: list[MachineView]) -> str:
-        return min(views, key=lambda v: v.completion_s).machine
+    def select(
+        self,
+        names: Sequence[str],
+        runtime: Sequence[float],
+        energy: Sequence[float],
+        wait: Sequence[float],
+        cost: Sequence[float],
+    ) -> int:
+        return _argmin([w + r for w, r in zip(wait, runtime)])
 
 
 class RuntimePolicy(Policy):
@@ -130,8 +159,15 @@ class RuntimePolicy(Policy):
     name = "Runtime"
     reads_cost = False
 
-    def select(self, job: Job, views: list[MachineView]) -> str:
-        return min(views, key=lambda v: v.runtime_s).machine
+    def select(
+        self,
+        names: Sequence[str],
+        runtime: Sequence[float],
+        energy: Sequence[float],
+        wait: Sequence[float],
+        cost: Sequence[float],
+    ) -> int:
+        return _argmin(runtime)
 
 
 class LargestFirstPolicy(Policy):
@@ -139,11 +175,11 @@ class LargestFirstPolicy(Policy):
 
     The subset-strategy heuristic (ROADMAP item 3): prefer the largest
     (fastest) tier that can take the job *now* — i.e. whose estimated
-    queue wait is zero, which is how a free worker slot surfaces in the
-    view — and only spill down-tier when the larger tiers are saturated
-    (their concurrency caps and core commitments both show up as queue
-    wait).  If every tier is busy, queue on the least-backlogged one,
-    preferring the larger tier on ties.
+    queue wait is zero, which is how a free worker slot surfaces to a
+    policy — and only spill down-tier when the larger tiers are
+    saturated (their concurrency caps and core commitments both show up
+    as queue wait).  If every tier is busy, queue on the
+    least-backlogged one, preferring the larger tier on ties.
 
     Tier preference defaults to the tiered scenario's Large > Medium >
     Small; unknown machines sort after known tiers, alphabetically, so
@@ -162,16 +198,23 @@ class LargestFirstPolicy(Policy):
         self._rank = {tier: i for i, tier in enumerate(tiers)}
         self._unknown = len(tiers)
 
-    def _key(self, view: MachineView) -> tuple[int, str]:
-        return (self._rank.get(view.machine, self._unknown), view.machine)
+    def _key(self, machine: str) -> tuple[int, str]:
+        return (self._rank.get(machine, self._unknown), machine)
 
-    def select(self, job: Job, views: list[MachineView]) -> str:
-        ordered = sorted(views, key=self._key)
-        for view in ordered:
-            if view.queue_wait_s <= 0.0:
-                return view.machine
+    def select(
+        self,
+        names: Sequence[str],
+        runtime: Sequence[float],
+        energy: Sequence[float],
+        wait: Sequence[float],
+        cost: Sequence[float],
+    ) -> int:
+        ordered = sorted(range(len(names)), key=lambda i: self._key(names[i]))
+        for i in ordered:
+            if wait[i] <= 0.0:
+                return i
         # min() keeps the first minimum, i.e. the largest tier on ties.
-        return min(ordered, key=lambda v: v.queue_wait_s).machine
+        return min(ordered, key=wait.__getitem__)
 
 
 class FixedMachinePolicy(Policy):
@@ -187,11 +230,17 @@ class FixedMachinePolicy(Policy):
         self.machine = machine
         self.name = machine
 
-    def select(self, job: Job, views: list[MachineView]) -> str:
-        for view in views:
-            if view.machine == self.machine:
-                return view.machine
-        return min(views, key=lambda v: v.runtime_s).machine
+    def select(
+        self,
+        names: Sequence[str],
+        runtime: Sequence[float],
+        energy: Sequence[float],
+        wait: Sequence[float],
+        cost: Sequence[float],
+    ) -> int:
+        if self.machine in names:
+            return names.index(self.machine)
+        return _argmin(runtime)
 
 
 def standard_policies(machines: list[str] | None = None) -> list[Policy]:

@@ -300,6 +300,16 @@ def _ship_quote_tables() -> dict[QuoteTableKey, QuoteTableShm]:
     return shipped
 
 
+#: Seconds an idle worker waits on its inbox before checking that the
+#: process that started it is still alive.
+PARENT_POLL_S = 0.5
+
+
+def _parent_alive(parent: Any) -> bool:
+    """True while the process that started this worker runs."""
+    return parent is None or bool(parent.is_alive())
+
+
 def _service_worker(
     name: str,
     inbox: Any,
@@ -316,17 +326,33 @@ def _service_worker(
     of a persistent pool).  Each message carries the task's cache
     counter delta.  Deterministic exceptions are reported as ``error``
     messages — the worker itself never dies on a bad task.
+
+    A worker dies with its parent.  It polls its inbox every
+    :data:`PARENT_POLL_S` seconds and, before it ships a result, checks
+    that the parent still runs; once the parent is gone (killed before
+    it could :meth:`SweepService.close`), the worker unlinks every
+    result block it handed off — a parent that read one has already
+    unlinked it — and exits instead of waiting forever.
     """
+    parent = multiprocessing.parent_process()
     runner = SweepRunner(scenario_fn, workload_fn, method_fn, workers=1)
     runner._shipped = shipped
+    handed_off: list[_ResultShm] = []
     while True:
-        item = inbox.get()
-        if item is None:
+        try:
+            item = inbox.get(timeout=PARENT_POLL_S)
+        except queue.Empty:
+            if _parent_alive(parent):
+                continue
             break
+        if item is None:
+            return
         job_id, task = item
         before = _QUOTE_TABLES.stats()
         try:
             result = runner.run_task(task)
+            if not _parent_alive(parent):
+                break
             payload: object
             try:
                 payload = _result_to_shm(result)
@@ -336,7 +362,14 @@ def _service_worker(
             message = f"{type(exc).__name__}: {exc}"
             results.put(("error", job_id, name, message, _cache_delta(before)))
         else:
+            if isinstance(payload, _ResultShm):
+                handed_off.append(payload)
             results.put(("ok", job_id, name, payload, _cache_delta(before)))
+    # Orphaned: nobody will read the result queue, so do not wait on its
+    # feeder thread at exit, and free the blocks nobody will unlink.
+    results.cancel_join_thread()
+    for payload in handed_off:
+        _discard(payload)
 
 
 class SweepService:

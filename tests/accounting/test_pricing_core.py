@@ -66,9 +66,14 @@ def make_jobs(rng, pricings, n=60):
     return jobs
 
 
+def quotes_of(table):
+    """A quote table's (or kernel's) per-row quotes and eligibility walks."""
+    return table.quotes, table.walks, table.walk_names
+
+
 class TestPricingKernelQuotes:
     @pytest.mark.parametrize("method_index", range(5))
-    def test_static_views_match_scalar_charges(self, method_index):
+    def test_quotes_match_scalar_charges(self, method_index):
         """Every quoted (job, machine) cost equals a scalar charge()."""
         rng = np.random.default_rng(21 + method_index)
         method = all_methods()[method_index]
@@ -76,9 +81,13 @@ class TestPricingKernelQuotes:
         jobs = make_jobs(rng, pricings)
         kernel = PricingKernel(block(jobs, pricings), pricings, method)
         for job in jobs:
-            views = kernel.static_views[kernel.row_of[job.job_id]]
-            assert [v[0] for v in views] == job.eligible_machines
-            for name, runtime, energy, cost in views:
+            walk, runtimes, energies, costs = kernel.quotes[kernel.row_of[job.job_id]]
+            names = kernel.walk_names[walk]
+            assert list(names) == job.eligible_machines
+            assert names == tuple(
+                kernel.machine_names[mi] for mi in kernel.walks[walk]
+            )
+            for name, runtime, energy, cost in zip(names, runtimes, energies, costs):
                 record = UsageRecord(
                     machine=name,
                     duration_s=runtime,
@@ -205,7 +214,7 @@ class TestQuoteTableSharing:
         table = QuoteTable.build(block(jobs, pricings), pricings, method)
         adopted = PricingKernel(block(jobs, pricings), pricings, method, table=table)
         assert adopted.table is table
-        assert adopted.static_views == fresh.static_views
+        assert quotes_of(adopted) == quotes_of(fresh)
         for name in pricings:
             assert np.array_equal(
                 adopted.runtime[name], fresh.runtime[name], equal_nan=True
@@ -384,7 +393,7 @@ class TestQuoteTableCacheLRU:
         assert key not in cache
         rebuilt = cache.get_or_build(key, builder)
         assert rebuilt is not first
-        assert rebuilt.static_views == first.static_views
+        assert quotes_of(rebuilt) == quotes_of(first)
         assert np.array_equal(rebuilt.elig_rank, first.elig_rank)
         for name in pricings:
             assert np.array_equal(
@@ -419,7 +428,7 @@ class TestQuoteTableShm:
                 assert clone.machine_names == table.machine_names
                 assert clone.pricing_fingerprint == table.pricing_fingerprint
                 assert clone.row_of == table.row_of
-                assert clone.static_views == table.static_views
+                assert quotes_of(clone) == quotes_of(table)
                 assert np.array_equal(clone.elig_rank, table.elig_rank)
                 assert np.array_equal(clone.job_id, table.job_id)
                 for name in pricings:
@@ -463,7 +472,7 @@ class TestQuoteTableShm:
                     block(jobs, pricings), pricings, method, table=clone
                 )
                 fresh = PricingKernel(block(jobs, pricings), pricings, method)
-                assert adopted.static_views == fresh.static_views
+                assert quotes_of(adopted) == quotes_of(fresh)
                 for name in pricings:
                     assert np.array_equal(
                         adopted.runtime[name],
@@ -490,7 +499,7 @@ class TestQuoteTableShm:
             )  # evicts the attached table
             assert key not in cache
             assert not clone.from_shm  # mapping handed back, not leaked
-            assert clone.static_views == []
+            assert quotes_of(clone) == ([], [], [])
             cache.clear()
             assert cache.stats().shm_attached == 0
         finally:
@@ -498,9 +507,9 @@ class TestQuoteTableShm:
 
     def test_release_is_a_no_op_for_owned_tables(self, built):
         _, _, table = built
-        views_before = table.static_views
+        quotes_before = table.quotes
         table.release()
-        assert table.static_views is views_before
+        assert table.quotes is quotes_before
 
     def test_unlink_is_idempotent(self, built):
         _, _, table = built

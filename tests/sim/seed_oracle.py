@@ -13,21 +13,111 @@ immediate per-segment charging), the one reference for
 The port uses the *fixed* committed-core-seconds heuristic (running
 remainders, not full runtimes), so the comparison isolates the
 scheduling machinery from that intentional behaviour change.
+
+The seed loops carried :class:`~repro.sim.job.Job` objects and handed
+each policy one :class:`MachineView` per eligible machine; the oracle
+keeps that shape, with its own view-based copy of every built-in
+policy (:func:`seed_select`), so it stays an implementation
+independent of the simulators' row-indexed loops and array ``select``.
 """
 
 import heapq
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.accounting.base import UsageRecord
 from repro.accounting.methods import CarbonBasedAccounting
 from repro.accounting.pricing import OUTCOME_FIELDS
-from repro.sim.cluster import _Running
 from repro.sim.engine import SimulationResult, pricing_for_sim_machine
 from repro.sim.job import Job, JobOutcome
-from repro.sim.policies import MachineView
+from repro.sim.policies import (
+    EFTPolicy,
+    EnergyPolicy,
+    FixedMachinePolicy,
+    GreedyPolicy,
+    LargestFirstPolicy,
+    MixedPolicy,
+    RuntimePolicy,
+)
 from repro.units import operational_carbon_g
+
+
+@dataclass(slots=True)
+class MachineView:
+    """What a seed policy knows about one candidate machine for one job."""
+
+    machine: str
+    runtime_s: float
+    energy_j: float
+    queue_wait_s: float
+    cost: float
+
+    @property
+    def completion_s(self) -> float:
+        """Expected completion latency: queue wait + runtime."""
+        return self.queue_wait_s + self.runtime_s
+
+
+def seed_select(policy, job: Job, views: list[MachineView]) -> str:
+    """The seed's view-based choice of ``policy`` (a built-in) for ``job``."""
+    if isinstance(policy, GreedyPolicy):
+        return min(views, key=lambda v: v.cost).machine
+    if isinstance(policy, EnergyPolicy):
+        return min(views, key=lambda v: v.energy_j).machine
+    if isinstance(policy, MixedPolicy):
+        cheapest = min(views, key=lambda v: v.cost)
+        fastest = min(views, key=lambda v: v.completion_s)
+        if (
+            fastest.machine != cheapest.machine
+            and fastest.completion_s
+            <= cheapest.completion_s / policy.speedup_threshold
+        ):
+            return fastest.machine
+        return cheapest.machine
+    if isinstance(policy, EFTPolicy):
+        return min(views, key=lambda v: v.completion_s).machine
+    if isinstance(policy, RuntimePolicy):
+        return min(views, key=lambda v: v.runtime_s).machine
+    if isinstance(policy, LargestFirstPolicy):
+        ordered = sorted(
+            views,
+            key=lambda v: (policy._rank.get(v.machine, policy._unknown), v.machine),
+        )
+        for view in ordered:
+            if view.queue_wait_s <= 0.0:
+                return view.machine
+        return min(ordered, key=lambda v: v.queue_wait_s).machine
+    if isinstance(policy, FixedMachinePolicy):
+        for view in views:
+            if view.machine == policy.machine:
+                return view.machine
+        return min(views, key=lambda v: v.runtime_s).machine
+    raise TypeError(f"no seed copy of policy {policy!r}")
+
+
+def array_select(policy, views: list[MachineView]) -> str:
+    """The machine ``policy``'s own (array) ``select`` picks among ``views``.
+
+    Lays the views out as the per-machine sequences the simulators pass,
+    and maps the returned index back to a name, so a test can state a
+    policy's choice the seed's way and compare it with :func:`seed_select`.
+    """
+    index = policy.select(
+        tuple(v.machine for v in views),
+        tuple(v.runtime_s for v in views),
+        tuple(v.energy_j for v in views),
+        [v.queue_wait_s for v in views],
+        tuple(v.cost for v in views),
+    )
+    return views[index].machine
+
+
+@dataclass(slots=True)
+class _Running:
+    job: Job
+    end_s: float
 
 
 class SeedCluster:
@@ -203,7 +293,7 @@ def seed_engine_run(machines, method, policy, workload) -> SimulationResult:
                 )
             if not views:
                 continue
-            cluster = clusters[policy.select(job, views)]
+            cluster = clusters[seed_select(policy, job, views)]
             cluster.enqueue(job)
             try_start(cluster, now)
     return SimulationResult(
@@ -388,7 +478,7 @@ def seed_migration_run(
             if not views:
                 active -= 1
                 continue
-            choice = policy.select(job, views)
+            choice = seed_select(policy, job, views)
             clusters[choice].enqueue(job)
             try_start(clusters[choice], now)
         elif kind == _FINISH:

@@ -3,18 +3,15 @@
 import pytest
 
 from repro.sim.cluster import ClusterSim
-from repro.sim.job import Job
 
 
-def job(job_id, user=0, cores=8, rt=100.0, machine="IC") -> Job:
-    return Job(
-        job_id=job_id,
-        user=user,
-        cores=cores,
-        submit_s=0.0,
-        runtime_s={machine: rt},
-        energy_j={machine: 1000.0},
-    )
+def job(job_id, user=0, cores=8, rt=100.0):
+    """A queue entry: ``(job_id, user, cores, runtime_s)``."""
+    return (job_id, user, cores, rt)
+
+
+def ids(started):
+    return [job_id for job_id, _ in started]
 
 
 @pytest.fixture
@@ -26,7 +23,7 @@ class TestStartFinish:
     def test_start_consumes_cores(self, cluster):
         cluster.enqueue(job(1, cores=48))
         started = cluster.startable(0.0)
-        assert [j.job_id for j in started] == [1]
+        assert ids(started) == [1]
         assert cluster.free_cores == 576 - 48
 
     def test_finish_releases(self, cluster):
@@ -37,17 +34,18 @@ class TestStartFinish:
 
     def test_end_time(self, cluster):
         cluster.enqueue(job(1, rt=250.0))
-        cluster.startable(10.0)
-        assert cluster.end_time_of(1) == pytest.approx(260.0)
+        assert cluster.startable(10.0) == [(1, 260.0)]
+        assert cluster.running[1] == (job(1, rt=250.0), 260.0)
 
     def test_wrong_machine_rejected(self, cluster):
+        # A machine the job cannot use has no runtime: NaN in its quotes.
         with pytest.raises(ValueError, match="not eligible"):
-            cluster.enqueue(job(1, machine="Theta"))
+            cluster.enqueue(job(1, rt=float("nan")))
 
-    def test_utilization(self, cluster):
-        cluster.enqueue(job(1, cores=288))
+    def test_finish_returns_the_entry(self, cluster):
+        cluster.enqueue(job(1, user=3, cores=48))
         cluster.startable(0.0)
-        assert cluster.utilization == pytest.approx(0.5)
+        assert cluster.finish(1) == job(1, user=3, cores=48)
 
 
 class TestUserRule:
@@ -55,8 +53,9 @@ class TestUserRule:
         cluster.enqueue(job(1, user=7, cores=8))
         cluster.enqueue(job(2, user=7, cores=8))
         started = cluster.startable(0.0)
-        assert [j.job_id for j in started] == [1]
-        assert cluster.user_busy(7)
+        assert ids(started) == [1]
+        # Job 2 waits in the bucket of jobs its busy user blocks.
+        assert cluster._ready.blocked_users == {7}
 
     def test_second_job_starts_after_first_finishes(self, cluster):
         cluster.enqueue(job(1, user=7))
@@ -64,7 +63,7 @@ class TestUserRule:
         cluster.startable(0.0)
         cluster.finish(1)
         started = cluster.startable(100.0)
-        assert [j.job_id for j in started] == [2]
+        assert ids(started) == [2]
 
     def test_different_users_run_concurrently(self, cluster):
         cluster.enqueue(job(1, user=1))
@@ -81,7 +80,7 @@ class TestBackfill:
         cluster.finish(1)
         # 576 free: job 2 starts; job 3 no longer fits? 576-576=0 -> queued.
         started = cluster.startable(100.0)
-        assert [j.job_id for j in started] == [2]
+        assert ids(started) == [2]
 
     def test_backfill_when_head_blocked_by_user_rule(self, cluster):
         cluster.enqueue(job(1, user=1, cores=8))
@@ -89,14 +88,14 @@ class TestBackfill:
         cluster.enqueue(job(2, user=1, cores=8))  # head blocked (user busy)
         cluster.enqueue(job(3, user=2, cores=8))  # should backfill
         started = cluster.startable(1.0)
-        assert [j.job_id for j in started] == [3]
+        assert ids(started) == [3]
         assert cluster.queue_length == 1
 
     def test_fcfs_order_among_startable(self, cluster):
         for i in range(1, 4):
             cluster.enqueue(job(i, user=i, cores=8))
         started = cluster.startable(0.0)
-        assert [j.job_id for j in started] == [1, 2, 3]
+        assert ids(started) == [1, 2, 3]
 
     def test_backfill_window_bounds_scan(self, sim_machines):
         cluster = ClusterSim(sim_machines["IC"], backfill_window=2)
@@ -160,7 +159,7 @@ class TestWaitEstimate:
         cluster.enqueue(job(1, cores=576, rt=1000.0))
         cluster.startable(0.0)
         cluster.reschedule_end(1, 400.0)  # continuation carries less work
-        assert cluster.end_time_of(1) == pytest.approx(400.0)
+        assert cluster.running[1][1] == pytest.approx(400.0)
         assert cluster.estimated_wait_s(100.0) == pytest.approx(
             576 * 300.0 / 576
         )

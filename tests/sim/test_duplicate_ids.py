@@ -116,12 +116,12 @@ class TestAcrossChunks:
 
     def test_id_of_a_settled_job_may_be_reused(self, kernel, sim_machines):
         first = self.job(1, 0.0, sim_machines)
-        name = next(iter(sim_machines))
         kernel.load_chunk(
             self.block([first, self.job(2, 0.0, sim_machines)], sim_machines)
         )
-        kernel.price_block([(first, name, 0.0, 60.0)])
+        # Finish-log entries: (job_id, machine code, start_s, end_s).
+        kernel.price_block([(1, 0, 0.0, 60.0)])
         reused = self.job(1, 5.0, sim_machines)
         kernel.load_chunk(self.block([reused], sim_machines))
-        table = kernel.price_block([(reused, name, 5.0, 65.0)])
+        table = kernel.price_block([(1, 0, 5.0, 65.0)])
         assert table.submit_s.tolist() == [5.0]

@@ -57,10 +57,10 @@ class TestRoundTrip:
         block = JobBlock.from_jobs(shuffled, list(sim_machines))
         table = QuoteTable.build(block, pricings, all_methods()[0])
         for j in shuffled:
-            views = table.static_views[table.row_of[j.job_id]]
-            assert [v[0] for v in views] == list(j.runtime_s)
-            assert [v[1] for v in views] == list(j.runtime_s.values())
-            assert [v[2] for v in views] == list(j.energy_j.values())
+            walk, runtime, energy, _ = table.quotes[table.row_of[j.job_id]]
+            assert list(table.walk_names[walk]) == list(j.runtime_s)
+            assert list(runtime) == list(j.runtime_s.values())
+            assert list(energy) == list(j.energy_j.values())
         assert table.work.tolist() == [j.work_core_hours for j in shuffled]
 
     def test_columns_are_machine_major_views(self, shuffled, sim_machines, pricings):

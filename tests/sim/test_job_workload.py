@@ -33,9 +33,6 @@ class TestJob:
     def test_eligible_machines(self):
         assert set(self.make().eligible_machines) == {"A", "B"}
 
-    def test_core_seconds(self):
-        assert self.make().core_seconds_on("B") == pytest.approx(1600.0)
-
     def test_rejects_machine_set_mismatch(self):
         with pytest.raises(ValueError):
             self.make(energy_j={"A": 1.0})

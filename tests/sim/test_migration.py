@@ -447,3 +447,79 @@ class TestRunningTableLiveRows:
         assert 9000 in table._slot_of
         assert len(table) == len(live) + 1
         assert table.job_id[table._slot_of[9000]] == 9000
+
+
+class TestStaleFinishes:
+    """A preempted segment's finish event stays in the calendar; the
+    simulator drops it by the job's segment generation, not by how close
+    its time is to the live segment's end."""
+
+    RUNTIME_S = 10 * 3600.0
+    #: Tiny enough that the round trip below ends within 1e-6 s of the
+    #: first segment's scheduled end.
+    OVERHEAD_S = 4e-7
+
+    @pytest.fixture()
+    def round_trip(self, low_carbon_machines):
+        """One job that runs on A, moves to B at the first tick (A's grid
+        turns dirty for hour 1) and back to A at the second (hour 2)."""
+        base = low_carbon_machines["FASTER"]
+        a = np.full(24, 20.0)
+        a[1] = 900.0
+        b = np.full(24, 900.0)
+        b[1] = 20.0
+
+        def clone(name, hourly):
+            return dataclasses.replace(
+                base,
+                node=dataclasses.replace(base.node, name=name),
+                intensity=CarbonIntensityTrace(name, hourly),
+            )
+
+        machines = {"A": clone("A", a), "B": clone("B", b)}
+        job = Job(
+            job_id=7,
+            user=1,
+            cores=4,
+            submit_s=0.0,
+            runtime_s={"A": self.RUNTIME_S, "B": self.RUNTIME_S},
+            energy_j={"A": 5e8, "B": 5e8},
+        )
+        workload = Workload(jobs=[job], config=WorkloadConfig(), machines=["A", "B"])
+        return machines, workload
+
+    def expected_end(self):
+        """The live segment's end, by the simulator's own float steps."""
+        runtime, overhead = self.RUNTIME_S, self.OVERHEAD_S
+        # Segment 1 on A over [0, runtime]; the tick at 3600 s moves it.
+        rem = 1.0 - 1.0 * ((3600.0 - 0.0) / (runtime - 0.0))
+        end_b = 3600.0 + (runtime * rem + overhead)
+        # Segment 2 on B; the tick at 7200 s moves it back to A.
+        frac_done = rem * ((7200.0 - 3600.0) / (end_b - 3600.0))
+        rem = rem - frac_done
+        return 7200.0 + (runtime * rem + overhead)
+
+    @pytest.mark.parametrize("vector_min", [migration.VECTOR_MIN, 0])
+    def test_round_trip_settles_once_at_the_live_end(
+        self, round_trip, vector_min, monkeypatch
+    ):
+        monkeypatch.setattr(migration, "VECTOR_MIN", vector_min)
+        machines, workload = round_trip
+        sim = MigratingSimulator(
+            machines,
+            CarbonBasedAccounting(),
+            FixedMachinePolicy("A"),
+            min_saving=0.05,
+            overhead_s=self.OVERHEAD_S,
+        )
+        result = sim.run(workload)
+        end = self.expected_end()
+        # The stale finish of segment 1 (at the full runtime) pops first
+        # and within 1e-6 s of the live end: a time tolerance took it.
+        assert 0.0 < end - self.RUNTIME_S < 1e-6
+        assert result.n_jobs == 1
+        (outcome,) = result.outcomes
+        assert outcome.machine == "A"
+        assert outcome.end_s == end
+        # Three segments were billed: A, B, and A again.
+        assert len(sim._ledger) == 3

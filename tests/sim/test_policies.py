@@ -1,4 +1,9 @@
-"""The eight selection policies."""
+"""The eight selection policies.
+
+Cases are stated the seed's way, as one view per machine, and run
+through each policy's own array ``select`` (``seed_oracle.array_select``);
+a property test checks every built-in against its view-based seed copy.
+"""
 
 import dataclasses
 
@@ -14,12 +19,12 @@ from repro.sim.policies import (
     FixedMachinePolicy,
     GreedyPolicy,
     LargestFirstPolicy,
-    MachineView,
     MixedPolicy,
     Policy,
     RuntimePolicy,
     standard_policies,
 )
+from seed_oracle import MachineView, array_select, seed_select
 
 
 def view(machine, runtime=100.0, energy=1000.0, wait=0.0, cost=1.0) -> MachineView:
@@ -28,11 +33,6 @@ def view(machine, runtime=100.0, energy=1000.0, wait=0.0, cost=1.0) -> MachineVi
         queue_wait_s=wait, cost=cost,
     )
 
-
-JOB = Job(
-    job_id=0, user=0, cores=8, submit_s=0.0,
-    runtime_s={"A": 100.0, "B": 50.0}, energy_j={"A": 10.0, "B": 20.0},
-)
 
 VIEWS = [
     view("A", runtime=100.0, energy=10.0, wait=0.0, cost=5.0),
@@ -43,17 +43,17 @@ VIEWS = [
 
 class TestSimplePolicies:
     def test_greedy_minimizes_cost(self):
-        assert GreedyPolicy().select(JOB, VIEWS) == "B"
+        assert array_select(GreedyPolicy(), VIEWS) == "B"
 
     def test_energy_minimizes_energy(self):
-        assert EnergyPolicy().select(JOB, VIEWS) == "A"
+        assert array_select(EnergyPolicy(), VIEWS) == "A"
 
     def test_runtime_minimizes_runtime_ignoring_queue(self):
-        assert RuntimePolicy().select(JOB, VIEWS) == "B"
+        assert array_select(RuntimePolicy(), VIEWS) == "B"
 
     def test_eft_minimizes_completion(self):
         # A: 100, B: 550, C: 90 -> C
-        assert EFTPolicy().select(JOB, VIEWS) == "C"
+        assert array_select(EFTPolicy(), VIEWS) == "C"
 
 
 class TestMixed:
@@ -62,28 +62,28 @@ class TestMixed:
             view("cheap", runtime=100.0, cost=1.0),
             view("fast", runtime=60.0, cost=5.0),
         ]
-        assert MixedPolicy().select(JOB, views) == "cheap"
+        assert array_select(MixedPolicy(), views) == "cheap"
 
     def test_switches_for_2x_speedup(self):
         views = [
             view("cheap", runtime=100.0, cost=1.0),
             view("fast", runtime=40.0, cost=5.0),
         ]
-        assert MixedPolicy().select(JOB, views) == "fast"
+        assert array_select(MixedPolicy(), views) == "fast"
 
     def test_threshold_parameter(self):
         views = [
             view("cheap", runtime=100.0, cost=1.0),
             view("fast", runtime=60.0, cost=5.0),
         ]
-        assert MixedPolicy(speedup_threshold=1.5).select(JOB, views) == "fast"
+        assert array_select(MixedPolicy(speedup_threshold=1.5), views) == "fast"
 
     def test_counts_queue_in_completion(self):
         views = [
             view("cheap", runtime=100.0, wait=0.0, cost=1.0),
             view("fast", runtime=10.0, wait=400.0, cost=5.0),
         ]
-        assert MixedPolicy().select(JOB, views) == "cheap"
+        assert array_select(MixedPolicy(), views) == "cheap"
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
@@ -92,11 +92,11 @@ class TestMixed:
 
 class TestFixed:
     def test_selects_target_when_available(self):
-        assert FixedMachinePolicy("C").select(JOB, VIEWS) == "C"
+        assert array_select(FixedMachinePolicy("C"), VIEWS) == "C"
 
     def test_falls_back_to_fastest(self):
         views = [view("A", runtime=100.0), view("B", runtime=50.0)]
-        assert FixedMachinePolicy("Z").select(JOB, views) == "B"
+        assert array_select(FixedMachinePolicy("Z"), views) == "B"
 
     def test_name_is_machine(self):
         assert FixedMachinePolicy("Theta").name == "Theta"
@@ -187,20 +187,90 @@ class TestCostBlindness:
         repriced = [
             dataclasses.replace(v, cost=cost) for v, cost in zip(views, costs)
         ]
-        assert policy.select(JOB, repriced) == policy.select(JOB, views)
+        assert array_select(policy, repriced) == array_select(policy, views)
 
     @pytest.mark.parametrize("policy", [GreedyPolicy(), MixedPolicy()])
     def test_cost_aware_choice_follows_costs(self, policy):
         views = [view("A", cost=1.0), view("B", cost=2.0)]
         swapped = [view("A", cost=2.0), view("B", cost=1.0)]
         assert policy.reads_cost
-        assert policy.select(JOB, views) == "A"
-        assert policy.select(JOB, swapped) == "B"
+        assert array_select(policy, views) == "A"
+        assert array_select(policy, swapped) == "B"
 
     def test_subclass_defaults_to_reading_costs(self):
         class FirstView(Policy):
-            def select(self, job, views):
-                return views[0].machine
+            def select(self, names, runtime, energy, wait, cost):
+                return 0
 
         assert Policy.reads_cost is True
         assert FirstView.reads_cost is True and FirstView().reads_cost is True
+
+
+#: Every built-in, with both Mixed thresholds, a present and an absent
+#: fixed target, and LargestFirst on its default and a custom order.
+BUILT_INS = [
+    *standard_policies(["B", "Absent"]),
+    MixedPolicy(speedup_threshold=1.5),
+    LargestFirstPolicy(),
+    LargestFirstPolicy(order=("Small", "B")),
+]
+
+#: Few distinct values, so draws are full of ties.
+TIED = st.sampled_from([0.0, 1.0, 2.0, 5.0, 10.0])
+
+
+@st.composite
+def tied_views(draw):
+    names = draw(
+        st.lists(
+            st.sampled_from(["Large", "Medium", "Small", "A", "B", "C"]),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    return [
+        view(
+            name,
+            runtime=draw(st.one_of(TIED, NONNEGATIVE)),
+            energy=draw(st.one_of(TIED, NONNEGATIVE)),
+            wait=draw(st.one_of(TIED, NONNEGATIVE)),
+            cost=draw(st.one_of(TIED, FINITE)),
+        )
+        for name in names
+    ]
+
+
+class TestArrayContract:
+    """``select(names, runtime, energy, wait, cost) -> index``: an argmin
+    that keeps the first minimum in eligibility order."""
+
+    @pytest.mark.parametrize("policy", BUILT_INS, ids=lambda p: p.name)
+    @given(views=tied_views())
+    def test_matches_the_seed_view_policy(self, policy, views):
+        job = Job(
+            job_id=0, user=0, cores=8, submit_s=0.0,
+            runtime_s={v.machine: v.runtime_s for v in views},
+            energy_j={v.machine: v.energy_j for v in views},
+        )
+        assert array_select(policy, views) == seed_select(policy, job, views)
+
+    @pytest.mark.parametrize(
+        "policy",
+        [GreedyPolicy(), EnergyPolicy(), EFTPolicy(), RuntimePolicy()],
+        ids=lambda p: p.name,
+    )
+    def test_ties_go_to_the_first_machine(self, policy):
+        names = ("C", "A", "B")
+        same = (1.0, 1.0, 1.0)
+        assert policy.select(names, same, same, [0.0, 0.0, 0.0], same) == 0
+        low = (2.0, 1.0, 1.0)
+        assert policy.select(names, low, low, [0.0, 0.0, 0.0], low) == 1
+
+    def test_completion_is_wait_plus_runtime(self):
+        # 0.1 + 0.2 != 0.3 in floats: EFT compares the rounded sums.
+        names = ("A", "B")
+        runtime = (0.2, 0.3)
+        wait = [0.1, 0.0]
+        assert 0.1 + 0.2 > 0.3
+        assert EFTPolicy().select(names, runtime, runtime, wait, (0.0, 0.0)) == 1

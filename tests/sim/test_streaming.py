@@ -16,7 +16,7 @@ from repro.accounting.pricing import OUTCOME_FIELDS, QuoteTable
 from repro.accounting.spill import OutcomeSpillStore
 from repro.reporting import fleet_report
 from repro.sim.engine import MultiClusterSimulator
-from repro.sim.events import EventCalendar
+from repro.sim.events import ARRIVAL, EventCalendar
 from repro.sim.job import Job, JobBlock
 from repro.sim.policies import EFTPolicy
 from repro.sim.swf import open_swf_stream, read_swf, write_swf
@@ -338,35 +338,28 @@ class TestSpillCleanupOnError:
 
 
 class TestCalendarRefill:
-    def _job(self, job_id, submit):
-        return Job(
-            job_id=job_id,
-            user=0,
-            cores=1,
-            submit_s=submit,
-            runtime_s={"A": 60.0},
-            energy_j={"A": 1e3},
-        )
+    """Refills take the next chunk's submit column; arrivals pop as rows
+    of the chunk they came in."""
 
     def test_refill_continues_the_arrival_stream(self):
-        calendar = EventCalendar([self._job(1, 0.0)])
+        calendar = EventCalendar([0.0])
         calendar.pop()
         assert not calendar.arrivals_pending
-        calendar.refill([self._job(2, 5.0)])
-        kind, _, job = calendar.pop()
-        assert job.job_id == 2
+        calendar.refill([7.0, 5.0])
+        assert calendar.pop() == (5.0, ARRIVAL, 1)
+        assert calendar.pop() == (7.0, ARRIVAL, 0)
 
     def test_refill_with_arrivals_pending_rejected(self):
-        calendar = EventCalendar([self._job(1, 0.0), self._job(2, 1.0)])
+        calendar = EventCalendar([0.0, 1.0])
         calendar.pop()
         with pytest.raises(RuntimeError, match="pending"):
-            calendar.refill([self._job(3, 2.0)])
+            calendar.refill([2.0])
 
     def test_refill_going_backwards_rejected(self):
-        calendar = EventCalendar([self._job(1, 10.0)])
+        calendar = EventCalendar([10.0])
         calendar.pop()
         with pytest.raises(ValueError, match="submit order"):
-            calendar.refill([self._job(2, 5.0)])
+            calendar.refill([5.0])
 
 
 class TestEngineGuards:

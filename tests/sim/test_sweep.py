@@ -182,6 +182,43 @@ class TestSweepRunner:
         for name in fast:
             assert fast[name].outcomes == slow[name].outcomes
 
+    def test_policy_sweeps_share_schedules_across_methods(
+        self, sweep_fns, monkeypatch
+    ):
+        """The study driver runs EBA and CBA as one grid: the six
+        cost-blind policies are simulated once, 10 event loops instead
+        of 16, and each method's results are memoized on their own."""
+        from collections import OrderedDict
+
+        from repro.experiments import _simulation
+
+        monkeypatch.setattr(_simulation, "_SWEEPS", OrderedDict())
+        runs = Counter()
+        run = MultiClusterSimulator.run
+
+        def counted(self, workload):
+            runs["loops"] += 1
+            return run(self, workload)
+
+        monkeypatch.setattr(MultiClusterSimulator, "run", counted)
+        set_default_workers(1)  # serial: every loop runs in this process
+        try:
+            sweeps = _simulation.policy_sweeps("baseline", ("EBA", "CBA"), SCALE, SEED)
+            assert runs["loops"] == 10
+            assert _simulation.policy_sweep("baseline", "CBA", SCALE, SEED) is (
+                sweeps["CBA"]
+            )
+            assert runs["loops"] == 10  # served from the memo
+        finally:
+            set_default_workers(None)
+        for method_name in ("EBA", "CBA"):
+            slow = _simulation.policy_sweep_serial(
+                "baseline", method_name, SCALE, SEED
+            )
+            assert set(sweeps[method_name]) == set(slow)
+            for name, result in slow.items():
+                assert sweeps[method_name][name].outcomes == result.outcomes
+
     def test_empty_task_list(self, sweep_fns):
         scenario, workload, method_for = sweep_fns
         runner = SweepRunner(scenario, workload, method_for, workers=2)

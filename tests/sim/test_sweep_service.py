@@ -55,6 +55,30 @@ def _blocking_workload(scenario_name, scale, seed):
     return workload(scenario_name, scale, seed)
 
 
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie (an exited process
+    another parent has yet to reap)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return False
+    return state not in ("Z", "X")
+
+
+def _serve_until_killed(store_root, pids_file):
+    """Child body: a two-worker service with one task held mid-flight;
+    writes its worker pids, then waits to be killed."""
+    service = _service(store_root, workload_fn=_blocking_workload, mp_context="fork")
+    service.submit([SweepTask("baseline", "Greedy", "EBA", SCALE, SEED)])
+    _wait_for(lambda: service.stats().in_flight == 1)  # a worker holds it
+    pids = [str(w.process.pid) for w in service._workers.values()]
+    pids_file.with_suffix(".tmp").write_text(" ".join(pids))
+    pids_file.with_suffix(".tmp").rename(pids_file)
+    while True:
+        time.sleep(1.0)
+
+
 def _service(store_root, workload_fn=None, **kwargs):
     from repro.accounting.methods import method_by_name
     from repro.experiments._simulation import scenario, workload
@@ -235,6 +259,48 @@ class TestFailureHandling:
             service.run(_grid(BASE_POLICIES)[:2])
         assert multiprocessing.active_children() == []
         assert service.stats().worker_restarts == 0
+
+    @requires_fork
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc") or not os.path.isdir("/dev/shm"),
+        reason="reads process states from /proc and blocks from /dev/shm",
+    )
+    def test_workers_die_with_a_killed_parent(self, tmp_path, monkeypatch):
+        """A parent killed before ``close()`` leaves no pool behind.
+
+        A forked child runs a two-worker service, one worker stalled
+        mid-task.  The child is stopped (so it cannot read results),
+        the stall lifted so the worker hands off a result block, and
+        the child killed: both workers must exit within a bounded time
+        and the handed-off block must not outlive them."""
+        block = tmp_path / "block"
+        block.touch()
+        monkeypatch.setenv(_BLOCK_FILE_ENV, str(block))
+        pids_file = tmp_path / "pids"
+        shm_before = set(os.listdir("/dev/shm"))
+        ctx = multiprocessing.get_context("fork")
+        child = ctx.Process(
+            target=_serve_until_killed, args=(tmp_path / "store", pids_file)
+        )
+        child.start()
+        try:
+            _wait_for(lambda: pids_file.exists(), timeout=30.0)
+            pids = [int(pid) for pid in pids_file.read_text().split()]
+            assert len(pids) == 2
+            os.kill(child.pid, signal.SIGSTOP)
+            block.unlink()  # the stalled worker finishes and ships
+            _wait_for(
+                lambda: set(os.listdir("/dev/shm")) - shm_before, timeout=30.0
+            )
+            os.kill(child.pid, signal.SIGKILL)
+        finally:
+            if block.exists():
+                block.unlink()
+            if child.is_alive():
+                child.kill()
+            child.join(timeout=10.0)
+        _wait_for(lambda: not any(map(_running, pids)), timeout=15.0)
+        assert set(os.listdir("/dev/shm")) - shm_before == set()
 
     def test_negative_retry_budget_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_retries"):

@@ -26,9 +26,8 @@ from repro.accounting.methods import all_methods, method_by_name
 from repro.experiments._simulation import scenario, workload
 from repro.reporting import format_tier_fairness, format_tier_metrics
 from repro.sim.engine import MultiClusterSimulator
-from repro.sim.job import Job
 from repro.sim.metrics import tier_fairness, tier_metrics
-from repro.sim.policies import LargestFirstPolicy, MachineView
+from repro.sim.policies import LargestFirstPolicy
 from repro.sim.scenarios import (
     DEFAULT_STRAGGLER_FRAC,
     DEFAULT_STRAGGLER_SIGMA,
@@ -52,7 +51,12 @@ from repro.sim.workload import (
     straggler_factors,
     straggler_mask,
 )
-from seed_oracle import assert_results_identical, seed_engine_run
+from seed_oracle import (
+    MachineView,
+    array_select,
+    assert_results_identical,
+    seed_engine_run,
+)
 
 METHOD_NAMES = tuple(m.name for m in all_methods())
 
@@ -484,50 +488,40 @@ def _view(machine: str, wait: float) -> MachineView:
     )
 
 
-_JOB = Job(
-    job_id=0,
-    user=0,
-    cores=1,
-    submit_s=0.0,
-    runtime_s={"Large": 50.0, "Medium": 75.0, "Small": 100.0},
-    energy_j={"Large": 1e6, "Medium": 1e6, "Small": 1e6},
-)
-
-
 class TestLargestFirstPolicy:
     def test_free_largest_tier_wins(self):
         policy = LargestFirstPolicy()
         views = [_view("Small", 0.0), _view("Medium", 0.0), _view("Large", 0.0)]
-        assert policy.select(_JOB, views) == "Large"
+        assert array_select(policy, views) == "Large"
 
     def test_spills_down_tier_when_saturated(self):
         policy = LargestFirstPolicy()
         views = [_view("Small", 0.0), _view("Medium", 0.0), _view("Large", 60.0)]
-        assert policy.select(_JOB, views) == "Medium"
+        assert array_select(policy, views) == "Medium"
         views = [_view("Small", 0.0), _view("Medium", 30.0), _view("Large", 60.0)]
-        assert policy.select(_JOB, views) == "Small"
+        assert array_select(policy, views) == "Small"
 
     def test_all_busy_queues_on_least_backlogged(self):
         policy = LargestFirstPolicy()
         views = [_view("Small", 10.0), _view("Medium", 5.0), _view("Large", 60.0)]
-        assert policy.select(_JOB, views) == "Medium"
+        assert array_select(policy, views) == "Medium"
 
     def test_tie_prefers_larger_tier(self):
         policy = LargestFirstPolicy()
         views = [_view("Small", 10.0), _view("Medium", 10.0), _view("Large", 10.0)]
-        assert policy.select(_JOB, views) == "Large"
+        assert array_select(policy, views) == "Large"
 
     def test_unknown_machines_sort_last(self):
         policy = LargestFirstPolicy()
         views = [_view("Theta", 0.0), _view("Small", 0.0)]
-        assert policy.select(_JOB, views) == "Small"
+        assert array_select(policy, views) == "Small"
         views = [_view("Theta", 0.0), _view("Small", 10.0)]
-        assert policy.select(_JOB, views) == "Theta"
+        assert array_select(policy, views) == "Theta"
 
     def test_custom_order(self):
         policy = LargestFirstPolicy(order=("Small", "Large"))
         views = [_view("Small", 0.0), _view("Large", 0.0)]
-        assert policy.select(_JOB, views) == "Small"
+        assert array_select(policy, views) == "Small"
 
 
 # ---------------------------------------------------------------------------
