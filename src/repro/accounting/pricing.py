@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -1389,12 +1389,11 @@ class ShardedPricingKernel:
         block is bit-identical to its slice of a whole-log settlement.
         """
         n = len(finished)
-        if not n:
-            return OutcomeTable.empty(self.machine_names)
-        ids, codes_t, starts_t, ends_t = zip(*finished)
-        codes = np.array(codes_t, dtype=np.int32)
-        starts = np.array(starts_t, dtype=float)
-        ends = np.array(ends_t, dtype=float)
+        # Column by column through ``itemgetter``: no per-entry objects.
+        ids = list(map(itemgetter(0), finished))
+        codes = np.fromiter(map(itemgetter(1), finished), dtype=np.int32, count=n)
+        starts = np.fromiter(map(itemgetter(2), finished), dtype=float, count=n)
+        ends = np.fromiter(map(itemgetter(3), finished), dtype=float, count=n)
         owners = map(self._locate.pop, ids, repeat(self._newest))
         owner = np.fromiter(map(attrgetter("index"), owners), dtype=np.intp, count=n)
         columns = {name: np.empty(n, dtype=dtype) for name, dtype in OUTCOME_FIELDS}

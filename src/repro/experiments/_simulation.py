@@ -109,11 +109,12 @@ def workload(scenario_name: str, scale: int, seed: int = 0) -> Workload:
     return generated
 
 
-#: Memoized per-policy results by (scenario, method, scale, seed), the
-#: least recently used dropped past :data:`SWEEP_MEMO_CELLS`.
-_SWEEPS: OrderedDict[tuple[str, str, int, int], dict[str, SimulationResult]] = (
-    OrderedDict()
-)
+#: One memoized sweep: (scenario, method, scale, seed).
+SweepCell = tuple[str, str, int, int]
+
+#: Memoized per-policy results by cell, the least recently used dropped
+#: past :data:`SWEEP_MEMO_CELLS`.
+_SWEEPS: OrderedDict[SweepCell, dict[str, SimulationResult]] = OrderedDict()
 SWEEP_MEMO_CELLS = 16
 
 

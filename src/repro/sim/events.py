@@ -24,9 +24,9 @@ the two pieces they now share:
   fits), but the window is a list of its own with the rest of the queue
   in a backlog deque, so a scan reads O(window) jobs however long the
   backlog grows.  Entries are plain :data:`QueueEntry` tuples.
-  Per-cluster blocked buckets keyed by (min free cores
-  needed, blocking user) answer a finish or enqueue that provably
-  cannot change any job's state in O(1), so the scan only runs when
+  Per-cluster blocked buckets keyed by (min free cores needed,
+  blocking user) answer a finish or enqueue that provably cannot
+  change any job's state in O(1), so the scan only runs when
   the index says some job may actually start.  Every scan visits the
   same jobs in the same order under the same test as the seed's, and
   the index only skips scans that would start nothing, so results are
@@ -257,9 +257,7 @@ class ReadyQueue:
         return len(self.window) + len(self.backlog)
 
     # ------------------------------------------------------------------
-    def push(
-        self, entry: QueueEntry, free_cores: int, busy_users: set[int]
-    ) -> None:
+    def push(self, entry: QueueEntry, free_cores: int, busy_users: set[int]) -> None:
         """Append ``entry`` and classify it against the current state.
 
         Enqueueing changes nothing for jobs already queued, so a synced

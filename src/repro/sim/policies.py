@@ -129,8 +129,7 @@ class MixedPolicy(Policy):
         fastest = _argmin(completion)
         if (
             fastest != cheapest
-            and completion[fastest]
-            <= completion[cheapest] / self.speedup_threshold
+            and completion[fastest] <= completion[cheapest] / self.speedup_threshold
         ):
             return fastest
         return cheapest

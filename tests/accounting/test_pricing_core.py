@@ -84,9 +84,7 @@ class TestPricingKernelQuotes:
             walk, runtimes, energies, costs = kernel.quotes[kernel.row_of[job.job_id]]
             names = kernel.walk_names[walk]
             assert list(names) == job.eligible_machines
-            assert names == tuple(
-                kernel.machine_names[mi] for mi in kernel.walks[walk]
-            )
+            assert names == tuple(kernel.machine_names[mi] for mi in kernel.walks[walk])
             for name, runtime, energy, cost in zip(names, runtimes, energies, costs):
                 record = UsageRecord(
                     machine=name,

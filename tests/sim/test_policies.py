@@ -249,7 +249,10 @@ class TestArrayContract:
     @given(views=tied_views())
     def test_matches_the_seed_view_policy(self, policy, views):
         job = Job(
-            job_id=0, user=0, cores=8, submit_s=0.0,
+            job_id=0,
+            user=0,
+            cores=8,
+            submit_s=0.0,
             runtime_s={v.machine: v.runtime_s for v in views},
             energy_j={v.machine: v.energy_j for v in views},
         )

@@ -182,9 +182,7 @@ class TestSweepRunner:
         for name in fast:
             assert fast[name].outcomes == slow[name].outcomes
 
-    def test_policy_sweeps_share_schedules_across_methods(
-        self, sweep_fns, monkeypatch
-    ):
+    def test_policy_sweeps_share_schedules_across_methods(self, sweep_fns, monkeypatch):
         """The study driver runs EBA and CBA as one grid: the six
         cost-blind policies are simulated once, 10 event loops instead
         of 16, and each method's results are memoized on their own."""
@@ -205,16 +203,13 @@ class TestSweepRunner:
         try:
             sweeps = _simulation.policy_sweeps("baseline", ("EBA", "CBA"), SCALE, SEED)
             assert runs["loops"] == 10
-            assert _simulation.policy_sweep("baseline", "CBA", SCALE, SEED) is (
-                sweeps["CBA"]
-            )
+            cba = _simulation.policy_sweep("baseline", "CBA", SCALE, SEED)
+            assert cba is sweeps["CBA"]
             assert runs["loops"] == 10  # served from the memo
         finally:
             set_default_workers(None)
         for method_name in ("EBA", "CBA"):
-            slow = _simulation.policy_sweep_serial(
-                "baseline", method_name, SCALE, SEED
-            )
+            slow = _simulation.policy_sweep_serial("baseline", method_name, SCALE, SEED)
             assert set(sweeps[method_name]) == set(slow)
             for name, result in slow.items():
                 assert sweeps[method_name][name].outcomes == result.outcomes

@@ -289,9 +289,7 @@ class TestFailureHandling:
             assert len(pids) == 2
             os.kill(child.pid, signal.SIGSTOP)
             block.unlink()  # the stalled worker finishes and ships
-            _wait_for(
-                lambda: set(os.listdir("/dev/shm")) - shm_before, timeout=30.0
-            )
+            _wait_for(lambda: set(os.listdir("/dev/shm")) - shm_before, timeout=30.0)
             os.kill(child.pid, signal.SIGKILL)
         finally:
             if block.exists():
