@@ -13,7 +13,23 @@ Run:  python examples/full_reproduction.py [--out DIR] [--scale N]
 import argparse
 from pathlib import Path
 
-from repro.experiments import export
+from repro.experiments import (
+    export,
+    fig1_survey,
+    fig2_survey,
+    fig4_apps,
+    fig5_eba_simulation,
+    fig6_cba_simulation,
+    fig7_low_carbon,
+    fig9_user_study,
+    fig10_job_probability,
+    table1_cpu_costs,
+    table2_gpu_specs,
+    table3_gpu_costs,
+    table4_embodied,
+    table5_machines,
+    table6_policy_impact,
+)
 from repro.experiments._simulation import policy_sweep
 from repro.reporting import fleet_report, format_fleet_report
 
@@ -35,24 +51,22 @@ def main() -> None:
         print(f"  wrote {path}")
 
     # Render every table into one text report.
-    import repro.experiments as ex
-
     report_path = out / "report.txt"
     sections = [
-        ex.fig1_survey.format_table(),
-        ex.fig2_survey.format_table(),
-        ex.fig4_apps.format_table(),
-        ex.table1_cpu_costs.format_table(),
-        ex.table2_gpu_specs.format_table(),
-        ex.table3_gpu_costs.format_table(),
-        ex.table4_embodied.format_table(),
-        ex.table5_machines.format_table(),
-        ex.fig5_eba_simulation.format_report(args.scale, args.seed),
-        ex.table6_policy_impact.format_table(args.scale, args.seed),
-        ex.fig6_cba_simulation.format_report(args.scale, args.seed),
-        ex.fig7_low_carbon.format_report(args.scale, args.seed),
-        ex.fig9_user_study.format_report(),
-        ex.fig10_job_probability.format_report(),
+        fig1_survey.format_table(),
+        fig2_survey.format_table(),
+        fig4_apps.format_table(),
+        table1_cpu_costs.format_table(),
+        table2_gpu_specs.format_table(),
+        table3_gpu_costs.format_table(),
+        table4_embodied.format_table(),
+        table5_machines.format_table(),
+        fig5_eba_simulation.format_report(args.scale, args.seed),
+        table6_policy_impact.format_table(args.scale, args.seed),
+        fig6_cba_simulation.format_report(args.scale, args.seed),
+        fig7_low_carbon.format_report(args.scale, args.seed),
+        fig9_user_study.format_report(),
+        fig10_job_probability.format_report(),
     ]
     report_path.write_text("\n\n".join(sections) + "\n")
     print(f"  wrote {report_path}")

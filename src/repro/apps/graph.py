@@ -8,9 +8,12 @@ reference implementation in the tests.
 from __future__ import annotations
 
 import heapq
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def pagerank(

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import networkx as nx
-
 from repro.hardware.counters import (
     BALANCED,
     COMPUTE_BOUND,
@@ -244,6 +242,8 @@ def _demo_matmul() -> float:
 
 
 def _demo_pagerank() -> float:
+    import networkx as nx
+
     from repro.apps.graph import pagerank
 
     g = nx.gnp_random_graph(200, 0.05, seed=1, directed=True)
@@ -252,6 +252,8 @@ def _demo_pagerank() -> float:
 
 
 def _demo_bfs() -> int:
+    import networkx as nx
+
     from repro.apps.graph import bfs_levels
 
     g = nx.connected_watts_strogatz_graph(300, 6, 0.1, seed=1)
@@ -259,6 +261,8 @@ def _demo_bfs() -> int:
 
 
 def _demo_mst() -> float:
+    import networkx as nx
+
     from repro.apps.graph import mst_weight
 
     g = nx.random_geometric_graph(120, 0.3, seed=1)

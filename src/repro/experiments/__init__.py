@@ -4,6 +4,12 @@ Every module exposes ``run(...)`` returning structured rows and a
 ``format_table(...)`` (or similar) renderer; the benchmark harness under
 ``benchmarks/`` times and prints them, and the examples reuse them.
 
+Import figure modules by name (``from repro.experiments import
+fig5_eba_simulation``).  The package itself imports none of them, so
+the simulator entry points (``repro.experiments._simulation``) load only
+numpy; ``fig9_user_study`` and ``fig10_job_probability`` bring in scipy
+only when their statistics run.
+
 ==========================  ==========================================
 Module                      Paper artifact
 ==========================  ==========================================
@@ -23,23 +29,6 @@ Module                      Paper artifact
 ``fig10_job_probability``   Fig. 10 — P(run) vs job energy
 ==========================  ==========================================
 """
-
-from repro.experiments import (  # noqa: F401
-    fig1_survey,
-    fig2_survey,
-    fig4_apps,
-    table1_cpu_costs,
-    table2_gpu_specs,
-    table3_gpu_costs,
-    table4_embodied,
-    table5_machines,
-    fig5_eba_simulation,
-    table6_policy_impact,
-    fig6_cba_simulation,
-    fig7_low_carbon,
-    fig9_user_study,
-    fig10_job_probability,
-)
 
 __all__ = [
     "fig1_survey",

@@ -443,38 +443,3 @@ def open_swf_stream(
         machines=list(machines),
         source=str(path),
     )
-
-
-def roundtrip_consistent(
-    workload: Workload,
-    machines: dict[str, SimMachine],
-    tmp: str | Path,
-    seed: int = 0,
-) -> bool:
-    """Write + read back; check the reference columns survive exactly."""
-    path = write_swf(workload, Path(tmp))
-    back = read_swf(path, machines, seed=seed)
-    originals = {
-        j.job_id: j for j in workload.jobs if REFERENCE_MACHINE in j.runtime_s
-    }
-    for job in back.jobs:
-        orig = originals.get(job.job_id)
-        if orig is None:
-            continue
-        if (
-            abs(
-                job.runtime_s[REFERENCE_MACHINE]
-                - round(orig.runtime_s[REFERENCE_MACHINE])
-            )
-            > 1.0
-        ):
-            return False
-        if (
-            abs(
-                job.energy_j[REFERENCE_MACHINE]
-                - round(orig.energy_j[REFERENCE_MACHINE])
-            )
-            > 1.0
-        ):
-            return False
-    return True

@@ -26,7 +26,7 @@ jobs bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -72,30 +72,45 @@ class WorkloadConfig:
             raise ValueError("frac_over_16_cores must be in [0, 1)")
 
 
-@dataclass
 class Workload:
     """The generated job list plus provenance.
 
-    The job list must not change once the workload is built: its
-    columns (:meth:`block`) are derived from it once and kept.
+    A workload built by :meth:`from_block` keeps its columns and
+    assembles its :class:`Job` list only on the first read of
+    :attr:`jobs`: the engine runs from the columns alone.  Neither the
+    job list nor the columns may change once the workload is built:
+    the columns (:meth:`block`) are derived from the jobs once and kept.
     """
 
-    jobs: list[Job]
-    config: WorkloadConfig
-    machines: list[str]
-    _block: JobBlock | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(
+        self, jobs: list[Job], config: WorkloadConfig, machines: list[str]
+    ) -> None:
+        self._jobs: list[Job] | None = jobs
+        self._block: JobBlock | None = None
+        self.config = config
+        self.machines = machines
 
     @classmethod
     def from_block(cls, block: JobBlock, config: WorkloadConfig) -> Workload:
         """The workload of ``block``'s jobs, keeping the block as its columns."""
-        workload = cls(
-            jobs=block.jobs(), config=config, machines=list(block.machine_names)
-        )
+        workload = cls([], config, list(block.machine_names))
+        workload._jobs = None
         workload._block = block
         return workload
 
+    @property
+    def jobs(self) -> list[Job]:
+        """The jobs, assembled from the columns on first read."""
+        if self._jobs is None:
+            assert self._block is not None
+            self._jobs = self._block.jobs()
+        return self._jobs
+
     def __len__(self) -> int:
-        return len(self.jobs)
+        if self._jobs is None:
+            assert self._block is not None
+            return len(self._block)
+        return len(self._jobs)
 
     def block(self, machine_names: Sequence[str]) -> JobBlock:
         """The jobs as a :class:`~repro.sim.job.JobBlock` over

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.study.agents import AgentParams, BehavioralAgent
 from repro.study.game import Game, GameConfig, GameVersion
@@ -121,6 +120,8 @@ def jobs_completed_by_version(results: StudyResults) -> dict[int, np.ndarray]:
 
 def v3_energy_ttests(results: StudyResults) -> dict[str, float]:
     """Welch t-tests: V3 vs V1, V3 vs V2, and V1 vs V2 (the null check)."""
+    from scipy import stats
+
     groups = energy_by_version(results)
     out = {}
     for label, (a, b) in {
@@ -186,6 +187,8 @@ def run_probability_vs_energy(
 def energy_run_correlation(results: StudyResults) -> dict[int, tuple[float, float]]:
     """Pearson r (and p-value) of job energy vs run probability, per
     version — the paper's Fig. 10 finding is that none is significant."""
+    from scipy import stats
+
     points = run_probability_vs_energy(results)
     out: dict[int, tuple[float, float]] = {}
     for v, pts in points.items():

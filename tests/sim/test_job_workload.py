@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.sim.job import Job
+from repro.accounting.methods import EnergyBasedAccounting
+from repro.sim.engine import MultiClusterSimulator
+from repro.sim.job import Job, JobBlock
+from repro.sim.policies import GreedyPolicy
 from repro.sim.workload import (
     PatelWorkloadGenerator,
     WorkloadConfig,
@@ -118,6 +121,26 @@ class TestWorkloadGenerator:
             WorkloadConfig(repeat=0)
         with pytest.raises(ValueError):
             WorkloadConfig(frac_over_16_cores=1.5)
+
+    def test_jobs_are_assembled_on_first_read(self, sim_machines, monkeypatch):
+        """Generating and running a workload never assembles its jobs;
+        the first ``.jobs`` read equals the block's eager job list."""
+        cfg = WorkloadConfig(n_base_jobs=80, n_users=12, seed=4)
+
+        def refuse(self):
+            raise AssertionError("JobBlock.jobs called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(JobBlock, "jobs", refuse)
+            wl = PatelWorkloadGenerator(sim_machines, cfg).generate()
+            block = wl.block(list(sim_machines))
+            assert len(wl) == len(block)
+            sim = MultiClusterSimulator(
+                sim_machines, EnergyBasedAccounting(), GreedyPolicy()
+            )
+            assert sim.run(wl).n_jobs == len(block)
+        assert wl.jobs == block.jobs()
+        assert wl.jobs is wl.jobs
 
     def test_requires_machines(self):
         with pytest.raises(ValueError):

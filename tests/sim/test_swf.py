@@ -8,11 +8,29 @@ from repro.sim.swf import (
     iter_swf_job_chunks,
     open_swf_stream,
     read_swf,
-    roundtrip_consistent,
     write_swf,
     write_synthetic_swf,
 )
 from repro.sim.workload import PatelWorkloadGenerator, WorkloadConfig
+
+
+def roundtrip_consistent(workload, machines, tmp, seed=0):
+    """Write + read back; check the reference columns survive exactly."""
+    back = read_swf(write_swf(workload, tmp), machines, seed=seed)
+    originals = {
+        j.job_id: j for j in workload.jobs if REFERENCE_MACHINE in j.runtime_s
+    }
+    for job in back.jobs:
+        orig = originals.get(job.job_id)
+        if orig is None:
+            continue
+        for read, written in (
+            (job.runtime_s, orig.runtime_s),
+            (job.energy_j, orig.energy_j),
+        ):
+            if abs(read[REFERENCE_MACHINE] - round(written[REFERENCE_MACHINE])) > 1.0:
+                return False
+    return True
 
 
 @pytest.fixture(scope="module")
