@@ -23,18 +23,14 @@ from repro.accounting.methods import (
     EnergyBasedAccounting,
     RuntimeAccounting,
 )
-from repro.accounting.pricing import (
-    PricingKernel,
-    SegmentLedger,
-    SettlementQueue,
-)
+from repro.accounting.pricing import SegmentLedger, SettlementQueue
 from repro.apps.cholesky import random_spd, tiled_cholesky
 from repro.apps.graph import pagerank
 from repro.hardware.rapl import SimulatedRAPL
 from repro.sim.cluster import ClusterSim
 from repro.sim.engine import MultiClusterSimulator, pricing_for_sim_machine
-from repro.sim.job import Job, JobBlock
-from repro.sim.migration import MigratingSimulator, RunningTable, _Progress
+from repro.sim.job import Job
+from repro.sim.migration import MigratingSimulator, _Progress
 from repro.sim.policies import EFTPolicy, GreedyPolicy, LargestFirstPolicy
 from repro.sim.scenarios import (
     baseline_scenario,
@@ -170,8 +166,7 @@ def test_migration_throughput_1k_jobs(run_once, benchmark):
 
 def _staged_migration_tick(n_running: int):
     """A migration simulator frozen mid-run with ``n_running`` narrow
-    jobs running across the wide machines — at 512, the deep-concurrency
-    state the columnar re-evaluation pass is built for.
+    jobs running across the wide machines.
 
     ``min_saving=0.95`` keeps every re-evaluation decision a no-move, so
     the staged state is reusable across benchmark rounds.
@@ -200,17 +195,12 @@ def _staged_migration_tick(n_running: int):
     sim = MigratingSimulator(
         machines, CarbonBasedAccounting(), GreedyPolicy(), min_saving=0.95
     )
-    sim._kernel = PricingKernel(
-        JobBlock.from_jobs(jobs, list(sim.pricings)), sim.pricings, sim.method
-    )
     sim._ledger = SegmentLedger(sim.method, sim.pricings)
     sim._owners = []
     sim._quoters = {
         name: sim.method.probe_kernel(pricing)
         for name, pricing in sim.pricings.items()
     }
-    table = RunningTable()
-    sim._running = table
     clusters = {name: ClusterSim(m) for name, m in machines.items()}
     progress = {}
     for i, job in enumerate(jobs):
@@ -224,56 +214,17 @@ def _staged_migration_tick(n_running: int):
         state.segment_start_s = 0.0
         state.segment_machine = home
         progress[job.job_id] = state
-        table.add(
-            job.job_id,
-            sim._kernel.row_of[job.job_id],
-            sim._name_idx[home],
-            0.0,
-            job.runtime_s[home],
-            1.0,
-            state,
-        )
     return sim, clusters, progress
 
 
-def test_migration_reeval_tick(benchmark):
-    """The columnar re-evaluation pass for one tick over 512 running
-    jobs: one vectorized candidate pass over the :class:`RunningTable`,
-    one ``charge_many`` per machine for all stay/move probes, and one
-    masked-argmin decision pass over the probe matrix (reference: a
-    Python walk over every running dict, a scalar probe per
-    (job, machine) pair, and a per-candidate decision loop)."""
-    sim, clusters, _ = _staged_migration_tick(512)
-    moved, consumed = benchmark(sim._reevaluate_columnar, clusters, {}, [1800.0])
-    assert moved is False  # min_saving=0.95: probes run, nothing moves
-    assert consumed == 1800.0
-    assert len(sim._running) == 512
-
-
 def test_migration_reeval_tick_small(benchmark):
-    """A re-evaluation tick over 24 running jobs — below
-    ``VECTOR_MIN``, the side of the crossover that almost every tick of
-    a real migration run takes: the running-dict walk, scalar
-    ``probe_kernel`` quotes, and the per-candidate decision loop."""
+    """A re-evaluation tick over 24 running jobs: the running-dict walk,
+    scalar ``probe_kernel`` quotes, and the per-candidate decision
+    loop."""
     sim, clusters, progress = _staged_migration_tick(24)
     moved = benchmark(sim._reevaluate, clusters, progress, {}, 1800.0)
     assert moved is False  # min_saving=0.95: probes run, nothing moves
-    assert len(sim._running) == 24
-
-
-def test_migration_reeval_multi_tick(benchmark):
-    """A quiet 16-tick re-evaluation run over 512 running jobs priced in
-    one flattened ``charge_many`` pass per machine — the batch the
-    event calendar's ``next_disturbance`` horizon licenses when no
-    arrival or finish falls between consecutive ticks (reference: 16
-    sequential :func:`test_migration_reeval_tick` passes)."""
-    sim, clusters, _ = _staged_migration_tick(512)
-    ticks = [1800.0 * (k + 1) for k in range(16)]
-    moved, consumed = benchmark(sim._reevaluate_columnar, clusters, {}, ticks)
-    assert moved is False  # min_saving=0.95: state untouched, reusable
-    assert consumed == ticks[-1]  # no mover: the whole run was consumed
-    assert sim.multi_tick_batches > 0
-    assert len(sim._running) == 512
+    assert sum(len(c.running) for c in clusters.values()) == 24
 
 
 def test_sweep_short_runs_kernel_cache(run_once, benchmark):

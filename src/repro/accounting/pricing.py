@@ -493,16 +493,7 @@ class QuoteTable:
       names) and the row's quotes as tuples in that order — what the
       event loops hand a policy, indexed by the arrival's row,
     * flat per-machine ``runtime`` / ``energy`` / ``cost`` arrays keyed
-      by the job's ``row_of`` index (what the outcome post-pass and the
-      migration re-evaluation reuse),
-    * ``elig_rank`` — the block's dense ``(n_jobs, n_machines)`` int32
-      eligibility ranks (:data:`~repro.sim.job.ELIG_RANK_INELIGIBLE`
-      marks machines the job cannot use).  This is what lets a
-      vectorized argmin replay the scalar decision loops'
-      first-strict-improvement tie-breaking exactly: among equal-cost
-      machines the scalar walk keeps the *earliest* one, so a masked
-      argmin over ``elig_rank`` restricted to the cost minima selects
-      the identical winner.
+      by the job's ``row_of`` index (what the outcome post-pass reuses).
     """
 
     __slots__ = (
@@ -522,7 +513,6 @@ class QuoteTable:
         "quotes",
         "walks",
         "walk_names",
-        "elig_rank",
         "_shm",
     )
 
@@ -538,7 +528,6 @@ class QuoteTable:
         self.quotes: list[Quote] = []
         self.walks: list[tuple[int, ...]] = []
         self.walk_names: list[tuple[str, ...]] = []
-        self.elig_rank = np.empty((0, 0), dtype=np.int32)
         #: The shared-memory mapping backing this table's columns when
         #: it came from :meth:`attach`; ``None`` for owned arrays.
         self._shm: "SharedMemory | None" = None
@@ -638,7 +627,6 @@ class QuoteTable:
         self.cores = block.cores
         self.submit = block.submit
         self.work = block.work
-        self.elig_rank = block.elig_rank
         self.runtime = dict(zip(names, block.runtime))
         self.energy = dict(zip(names, block.energy))
         self.cost = dict(zip(names, cost))
@@ -1090,7 +1078,6 @@ class PricingKernel:
         "quotes",
         "walks",
         "walk_names",
-        "elig_rank",
         "_carbon",
     )
 
@@ -1125,7 +1112,6 @@ class PricingKernel:
         self.quotes = table.quotes
         self.walks = table.walks
         self.walk_names = table.walk_names
-        self.elig_rank = table.elig_rank
         self._carbon = (
             method
             if isinstance(method, CarbonBasedAccounting)
@@ -1630,7 +1616,6 @@ class SettlementQueue:
 
 
 __all__ = [
-    "ELIG_RANK_INELIGIBLE",
     "OUTCOME_FIELDS",
     "OutcomeTable",
     "OutcomeTableShm",

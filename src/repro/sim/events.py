@@ -140,25 +140,6 @@ class EventCalendar:
         if self._n:
             self._last_arrival = times[-1]
 
-    def next_disturbance(self) -> float:
-        """Earliest pending arrival or finish time (``+inf`` if neither).
-
-        A periodic tick scheduled *strictly before* this time pops with
-        no intervening arrival or finish (events tied with a tick pop
-        first, so a tick *at* the disturbance already sees changed
-        state).  Simulators use this to batch runs of quiet
-        re-evaluation ticks into one vectorized pass.  Only sound for
-        calendars holding their full arrival list: a later
-        :meth:`refill` may splice in arrivals before a previously
-        reported horizon.
-        """
-        horizon = float("inf")
-        if self._ai < self._n:
-            horizon = self._times[self._ai]
-        if self._finishes and self._finishes[0][0] < horizon:
-            horizon = self._finishes[0][0]
-        return horizon
-
     # ------------------------------------------------------------------
     def schedule_finish(self, time_s: float, payload: object) -> None:
         """Add a finish event (ties pop in push order)."""

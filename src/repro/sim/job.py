@@ -33,8 +33,7 @@ RankArray = npt.NDArray[np.int32]
 BoolArray = npt.NDArray[np.bool_]
 
 #: Sentinel in :attr:`JobBlock.elig_rank` for (job, machine) pairs the
-#: job cannot use.  Any real eligibility rank is strictly smaller, so a
-#: masked argmin over ranks can never pick an ineligible machine.
+#: job cannot use; the eligibility walks skip it.
 ELIG_RANK_INELIGIBLE = int(np.iinfo(np.int32).max)
 
 T = TypeVar("T")
@@ -115,9 +114,8 @@ class JobBlock:
     that machine's position in the job's own eligibility walk (the
     iteration order of :attr:`Job.runtime_s`), or
     :data:`ELIG_RANK_INELIGIBLE`; it is what keeps a job's machine order
-    through a round trip, and what lets a vectorized argmin replay a
-    scalar walk's first-strict-improvement tie-breaking.  ``work`` is
-    each job's :attr:`Job.work_core_hours`.
+    through a round trip, and what the eligibility walks are derived
+    from.  ``work`` is each job's :attr:`Job.work_core_hours`.
     """
 
     machine_names: tuple[str, ...]

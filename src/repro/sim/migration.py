@@ -30,37 +30,20 @@ event loop:
 * arrival views come from a precomputed
   :class:`~repro.accounting.pricing.PricingKernel` quote table (arrival
   time *is* the submit time, as in the plain engine);
-* the running set is mirrored in a columnar :class:`RunningTable`
-  (struct-of-arrays: kernel job row, machine index, segment start,
-  scheduled end, remaining fraction) maintained incrementally on every
-  segment start / finish / migrate;
+* stay/move probes at a re-evaluation tick go through the per-machine
+  :meth:`~repro.accounting.base.AccountingMethod.probe_kernel` closures
+  — hoisted per-machine constants, no record construction;
 * finished or preempted segments are appended to a
   :class:`~repro.accounting.pricing.SegmentLedger` and settled in one
   vectorized pass after the run, with per-job sums replayed in append
   order.
 
-A re-evaluation tick takes one of two paths, chosen by the live
-running-row count against :data:`VECTOR_MIN`:
-
-* **below it** (the common case: a handful of running jobs), a walk
-  over the per-cluster ``running`` dicts, stay/move probes through the
-  per-machine :meth:`~repro.accounting.base.AccountingMethod.probe_kernel`
-  closures — hoisted per-machine constants, no record construction —
-  and a per-candidate decision loop;
-* **at or above it**, one columnar pass over a run of 1 ..
-  :data:`MULTI_TICK_MAX` quiet ticks (no arrival or finish between
-  them, so every tick sees the same running set): *collect* the
-  candidate ``(tick, row)`` pairs with :meth:`RunningTable.candidates`,
-  *probe* them with one
-  :meth:`~repro.accounting.base.AccountingMethod.charge_many` per
-  machine, and *decide* with a masked argmin whose tie-breaking replays
-  the walk's eligibility order through the quote table's ``elig_rank``
-  column; only the first tick with a mover is applied.
-
-Both paths replay ``charge()``'s exact IEEE operations, so the
-crossover changes speed, never a decision: outcomes are
-**bit-identical** to the seed's per-record loop, which the test suite
-keeps as its oracle for all five accounting methods.
+A re-evaluation tick walks the per-cluster ``running`` dicts in
+machine order, probes each candidate's stay/move costs, and decides per
+candidate, keeping the first eligible machine among tied costs.  The
+probe kernels replay ``charge()``'s exact IEEE operations, so outcomes
+are **bit-identical** to the seed's per-record loop, which the test
+suite keeps as its oracle for all five accounting methods.
 
 Events come from the shared :class:`~repro.sim.events.EventCalendar`:
 arrivals are consumed from the submit-sorted submit column (an
@@ -77,14 +60,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.accounting.base import AccountingMethod, UsageBatch
+from repro.accounting.base import AccountingMethod
 from repro.accounting.pricing import PricingKernel, QuoteTable, SegmentLedger
 from repro.sim.cluster import ClusterSim
 from repro.sim.engine import SimulationResult, pricing_for_sim_machine
 from repro.sim.events import ARRIVAL, FINISH, EventCalendar
-from repro.sim.job import ELIG_RANK_INELIGIBLE, Job, JobOutcome
+from repro.sim.job import Job, JobOutcome
 from repro.sim.policies import Policy
 from repro.sim.scenarios import SimMachine
 from repro.sim.workload import Workload
@@ -108,204 +89,6 @@ class _Progress:
     #: Generation of the job's segment: bumped when a segment is
     #: preempted, so a finish scheduled for it is recognisably stale.
     segment: int = 0
-
-
-#: Live running-row count at or above which a re-evaluation tick takes
-#: the columnar pass instead of the dict walk with scalar probe
-#: kernels.  Below it, NumPy's fixed per-expression cost exceeds the
-#: walk over a handful of rows (measured crossover ~50 rows on the
-#: low-carbon scenario).  Speed only: both paths replay ``charge()``'s
-#: IEEE operations, so decisions never depend on it.
-VECTOR_MIN = 48
-
-#: Most quiet re-evaluation ticks one columnar pass prices at once
-#: (bounds the ``(ticks × rows × machines)`` probe matrix).  Speed only,
-#: like :data:`VECTOR_MIN`.
-MULTI_TICK_MAX = 64
-
-
-#: Slot-array capacity :class:`RunningTable` never shrinks below (small
-#: arrays are cheap to keep), and the initial allocation size.
-COMPACT_MIN_CAPACITY = 64
-
-#: Columns of :class:`RunningTable` (the ``states`` object list rides
-#: along separately).
-_RUNNING_COLUMNS = ("machine", "start", "end", "rem", "job_row", "seq", "job_id")
-
-
-class RunningTable:
-    """Columnar mirror of every running job across all clusters.
-
-    Struct-of-arrays — per live row: the machine index, the kernel job
-    row, the segment start time, the scheduled end, and the remaining
-    fraction at segment start — maintained incrementally on segment
-    start / finish / migrate events.  A columnar re-evaluation pass then
-    computes the remaining-fraction candidate math for the whole running
-    set, at every tick of a quiet run, as array expressions
-    (:meth:`candidates`) instead of walking the per-cluster ``running``
-    dicts in Python.
-
-    The layout is a **dense live-row index**: rows ``[0, len(table))``
-    are all live, and :meth:`remove` fills the hole it leaves by
-    swapping the last live row down.  There are no dead slots to skip,
-    so :meth:`candidates` does zero work proportional to anything but
-    the live count — churn-heavy workloads no longer pay for their
-    high-water mark on every tick (the old free-list layout needed a
-    periodic compaction heuristic to merely bound that waste).
-
-    Every insertion stamps a monotone sequence number and each tick's
-    candidates come back sorted by (machine index, sequence) — the
-    *reference* iteration order: clusters in machine-index order, then
-    running-dict insertion order within a cluster.  The sort makes the swap
-    shuffling invisible downstream, so decision application (and thus
-    requeue order on the target clusters) stays bit-identical to the
-    dict-walking path.
-
-    Because :meth:`remove` renumbers the last row, callers must not
-    hold row indices across removes — resolve rows to their ``states``
-    objects first.  Capacity doubles on demand and shrinks back to
-    ``2 × live`` when live rows fall to a quarter of it (never below
-    :data:`COMPACT_MIN_CAPACITY`); the shrink is purely an allocator
-    detail, invisible to the scan.
-    """
-
-    __slots__ = (
-        "machine",
-        "start",
-        "end",
-        "rem",
-        "job_row",
-        "seq",
-        "job_id",
-        "states",
-        "shrinks",
-        "last_scan_rows",
-        "_slot_of",
-        "_next_seq",
-    )
-
-    def __init__(self, capacity: int = COMPACT_MIN_CAPACITY) -> None:
-        capacity = max(1, capacity)
-        self.machine = np.full(capacity, -1, dtype=np.int64)
-        self.start = np.zeros(capacity)
-        self.end = np.zeros(capacity)
-        self.rem = np.zeros(capacity)
-        self.job_row = np.zeros(capacity, dtype=np.intp)
-        self.seq = np.zeros(capacity, dtype=np.int64)
-        self.job_id = np.full(capacity, -1, dtype=np.int64)
-        #: Per-row owning :class:`_Progress` (``None`` past the live end).
-        self.states: list[_Progress | None] = [None] * capacity
-        #: Capacity shrinks performed so far (diagnostics and tests).
-        self.shrinks = 0
-        #: Rows the most recent :meth:`candidates` call touched — always
-        #: exactly the live count (diagnostics and tests).
-        self.last_scan_rows = 0
-        self._slot_of: dict[int, int] = {}
-        self._next_seq = 0
-
-    def __len__(self) -> int:
-        return len(self._slot_of)
-
-    def _resize(self, capacity: int) -> None:
-        n = len(self._slot_of)
-        for name in _RUNNING_COLUMNS:
-            col = getattr(self, name)
-            resized = np.empty(capacity, dtype=col.dtype)
-            resized[:n] = col[:n]
-            setattr(self, name, resized)
-        self.states = self.states[:n] + [None] * (capacity - n)
-
-    def add(
-        self,
-        job_id: int,
-        job_row: int,
-        machine_idx: int,
-        start_s: float,
-        end_s: float,
-        remaining_fraction: float,
-        state: _Progress,
-    ) -> None:
-        """Mirror one started segment (job_id must not be running)."""
-        row = len(self._slot_of)
-        if row == len(self.machine):
-            self._resize(2 * row)
-        self.machine[row] = machine_idx
-        self.start[row] = start_s
-        self.end[row] = end_s
-        self.rem[row] = remaining_fraction
-        self.job_row[row] = job_row
-        self.seq[row] = self._next_seq
-        self.job_id[row] = job_id
-        self._next_seq += 1
-        self.states[row] = state
-        self._slot_of[job_id] = row
-
-    def remove(self, job_id: int) -> None:
-        """Drop a row when its segment finishes or migrates away.
-
-        The last live row swaps into the hole, keeping the live prefix
-        dense — any row index held from before this call is invalid
-        afterwards.
-        """
-        row = self._slot_of.pop(job_id)
-        last = len(self._slot_of)
-        if row != last:
-            self.machine[row] = self.machine[last]
-            self.start[row] = self.start[last]
-            self.end[row] = self.end[last]
-            self.rem[row] = self.rem[last]
-            self.job_row[row] = self.job_row[last]
-            self.seq[row] = self.seq[last]
-            moved_id = int(self.job_id[last])
-            self.job_id[row] = moved_id
-            self.states[row] = self.states[last]
-            self._slot_of[moved_id] = row
-        self.states[last] = None
-        capacity = len(self.machine)
-        if capacity > COMPACT_MIN_CAPACITY and last * 4 <= capacity:
-            self._resize(max(COMPACT_MIN_CAPACITY, 2 * last))
-            self.shrinks += 1
-
-    def candidates(
-        self, ticks: list[float]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(tick, rows, remaining, frac_done)`` of every candidate pair.
-
-        One broadcast pass over the live rows — and *only* the live
-        rows: the dense layout means dead capacity is never touched —
-        replays the reference filters for every tick in ``ticks``:
-        positive segment length, not within 1e-9 s of the scheduled
-        end, positive progress, more than 5% of the job left, with the
-        exact float expressions of the scalar loop, so each tick's
-        surviving set (and each survivor's remaining fraction) is
-        bit-identical.  The kept ``(tick, row)`` pairs come back
-        flattened once: ``tick`` indexes ``ticks`` and is
-        non-decreasing, and within a tick ``rows`` are in (machine,
-        insertion sequence) order — the reference dict-walk order.
-        """
-        n = len(self._slot_of)
-        self.last_scan_rows = n
-        order = np.lexsort((self.seq[:n], self.machine[:n]))
-        start = self.start[order]
-        end = self.end[order]
-        rem = self.rem[order]
-        ts = np.asarray(ticks, dtype=np.float64)[:, None]
-        seg_total = end - start
-        # Degenerate (zero-length) segments divide by zero here; their
-        # rows are masked out below, so silence the transients.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            done = (ts - start) / seg_total
-            frac_done = rem * done
-            remaining = rem - frac_done
-        keep = (
-            (seg_total > 0)
-            & (ts < end - 1e-9)
-            & (done > 0)
-            & (remaining > 0.05)
-        )
-        flat = np.flatnonzero(keep)
-        tick, pos = np.divmod(flat, n)
-        return tick, order[pos], remaining.ravel()[flat], frac_done.ravel()[flat]
 
 
 class MigratingSimulator:
@@ -349,19 +132,14 @@ class MigratingSimulator:
         "_ledger",
         "_owners",
         "_quoters",
-        "_running",
-        "_kernel",
     )
 
     #: Per-run state, rebuilt by every ``run()``: the deferred segment
-    #: ledger and each entry's owner, the per-machine scalar probe
-    #: quoters (closures hold per-run memo state), the columnar
-    #: running-set mirror, and the workload's pricing kernel.
+    #: ledger and each entry's owner, and the per-machine scalar probe
+    #: quoters (closures hold per-run memo state).
     _ledger: SegmentLedger
     _owners: list[_Progress]
     _quoters: dict[str, Callable[[float, float, int, float], float]]
-    _running: RunningTable
-    _kernel: PricingKernel
 
     def __init__(
         self,
@@ -397,8 +175,7 @@ class MigratingSimulator:
         self._idle_w = {
             name: m.idle_watts_per_core for name, m in machines.items()
         }
-        #: Columnar passes that covered more than one tick / ticks those
-        #: passes consumed (diagnostics and tests; cumulative across runs).
+        #: Always 0; perfbench's ``migration_cba`` workload reads them.
         self.multi_tick_batches = 0
         self.multi_tick_ticks = 0
 
@@ -464,21 +241,17 @@ class MigratingSimulator:
             self.method,
             table=self.quote_table,
         )
-        self._kernel = kernel
         self._ledger = SegmentLedger(self.method, self.pricings)
         self._owners = []
         self._quoters = {
             name: self.method.probe_kernel(pricing)
             for name, pricing in self.pricings.items()
         }
-        running_table = self._running = RunningTable()
-        name_idx = self._name_idx
         quotes = kernel.quotes
         walk_names = kernel.walk_names
         walk_clusters = [
             tuple(clusters[name] for name in names) for names in walk_names
         ]
-        row_of = kernel.row_of
         every = self.reevaluate_every_s
         jobs = workload.jobs
 
@@ -506,15 +279,6 @@ class MigratingSimulator:
                 # carry only their remainder.
                 cluster.reschedule_end(job_id, end)
                 calendar.schedule_finish(end, (cluster.name, job_id, state.segment))
-                running_table.add(
-                    job_id,
-                    row_of[job_id],
-                    name_idx[cluster.name],
-                    now,
-                    end,
-                    state.remaining_fraction,
-                    state,
-                )
 
         while calendar and active > 0:
             now, kind, payload = calendar.pop()
@@ -540,7 +304,6 @@ class MigratingSimulator:
                     continue  # stale event from a migrated segment
                 cluster = clusters[machine_name]
                 cluster.finish(job_id)
-                running_table.remove(job_id)
                 self._charge_segment(
                     state, state.remaining_fraction, state.is_continuation
                 )
@@ -551,25 +314,7 @@ class MigratingSimulator:
                 try_start(cluster, now)
 
             else:  # TICK: periodic migration re-evaluation
-                if len(running_table) >= VECTOR_MIN:
-                    # Ticks before the next arrival/finish all see the
-                    # same running set, so one columnar pass prices the
-                    # whole quiet run; ``now`` advances to the last tick
-                    # it consumed.
-                    ticks = [now]
-                    horizon = calendar.next_disturbance()
-                    t = now + every
-                    while len(ticks) < MULTI_TICK_MAX and t < horizon:
-                        ticks.append(t)
-                        t += every
-                    moved, now = self._reevaluate_columnar(
-                        clusters, pending_runtime, ticks
-                    )
-                else:
-                    moved = self._reevaluate(
-                        clusters, progress, pending_runtime, now
-                    )
-                if moved:
+                if self._reevaluate(clusters, progress, pending_runtime, now):
                     for cluster in clusters.values():
                         try_start(cluster, now)
                 if active > 0:
@@ -588,7 +333,7 @@ class MigratingSimulator:
         )
 
     # ------------------------------------------------------------------
-    # Small running sets: dict walk + scalar probe kernels
+    # Re-evaluation: dict walk + scalar probe kernels
     # ------------------------------------------------------------------
     def _reevaluate(
         self,
@@ -623,9 +368,8 @@ class MigratingSimulator:
                 )
         if not candidates:
             return False
-        probe_costs, name_idx = self._probe_costs_indexed(
-            clusters, candidates, now
-        )
+        probe_costs = self._probe_costs_indexed(clusters, candidates, now)
+        name_idx = self._name_idx
 
         moved_any = False
         for k, (cluster, job_id, state, job, remaining, frac_done) in enumerate(
@@ -680,7 +424,6 @@ class MigratingSimulator:
         state.migrations += 1
         state.segment += 1
         cluster.finish(job_id)
-        self._running.remove(job_id)
         runtime = job.runtime_s[target]
         pending_runtime[job_id] = runtime * remaining + self.overhead_s
         clusters[target].enqueue((job_id, job.user, job.cores, runtime))
@@ -690,13 +433,14 @@ class MigratingSimulator:
         clusters: dict[str, ClusterSim],
         candidates: list[tuple[ClusterSim, int, _Progress, Job, float, float]],
         now: float,
-    ) -> tuple[list[list[float]], dict[str, int]]:
+    ) -> list[list[float]]:
         """Probe pricing through the per-machine scalar probe kernels.
 
-        Candidate sets on this path are tiny (the running jobs of a few
-        clusters), so fixed-overhead NumPy batches lose to plain float
-        arithmetic; the probe kernels hoist every per-machine constant
-        and memoize the single trace lookup a tick needs.  Segment
+        Candidate sets are small (a tick of the low-carbon migration
+        benchmark sees about five running jobs), so fixed-overhead NumPy
+        batches lose to plain float arithmetic; the probe kernels hoist
+        every per-machine constant and memoize the single trace lookup
+        a tick needs.  Segment
         scalars are composed with :meth:`_charge_segment`'s
         association order and the kernels replay ``charge()``'s IEEE
         operations, so probe costs (and therefore migration decisions)
@@ -726,181 +470,7 @@ class MigratingSimulator:
                     energy += idle_w[name] * cores * overhead
                 row[mi] = quoters[name](runtime, energy, cores, now)
             out.append(row)
-        return out, name_idx
-
-    # ------------------------------------------------------------------
-    # Large running sets: one columnar collect / probe / decide pass
-    # ------------------------------------------------------------------
-    def _reevaluate_columnar(
-        self,
-        clusters: dict[str, ClusterSim],
-        pending_runtime: dict[int, float],
-        ticks: list[float],
-    ) -> tuple[bool, float]:
-        """Re-evaluate a run of quiet ticks in one columnar pass.
-
-        ``ticks`` are consecutive tick boundaries with no arrival or
-        finish before any of them (see
-        :meth:`~repro.sim.events.EventCalendar.next_disturbance`), so
-        every tick sees the identical running set — until the first
-        tick that moves something, which changes state and ends the
-        run.  A single tick is the case ``len(ticks) == 1``.
-
-        * **Collect** — :meth:`RunningTable.candidates` returns every
-          kept ``(tick, row)`` pair, flattened once.
-        * **Probe** — :meth:`_probe_pairs` prices every pair's
-          stay/move probes with one ``charge_many`` per machine, each
-          pair at its own tick.  The batch kernels are elementwise, so
-          each element equals a per-tick batch bit for bit.
-        * **Decide** — :meth:`_decide_and_apply_columnar` finds the
-          first tick with a mover and applies that tick's movers.
-
-        Ticks before the mover tick are consumed with no state change —
-        exactly what a per-tick loop would do.  Returns ``(moved,
-        now)`` where ``now`` is the last tick consumed; the caller
-        resumes scheduling from there.
-        """
-        table = self._running
-        tick, rows, remaining, frac_done = table.candidates(ticks)
-        consumed = len(ticks)
-        moved = False
-        if len(rows):
-            cur = table.machine[rows]
-            starts = np.asarray(ticks, dtype=np.float64)[tick]
-            costs = self._probe_pairs(rows, cur, remaining, starts)
-            mover_tick = self._decide_and_apply_columnar(
-                clusters, pending_runtime, tick, rows, cur, remaining, frac_done, costs
-            )
-            if mover_tick is not None:
-                consumed = mover_tick + 1
-                moved = True
-        if len(ticks) > 1:
-            self.multi_tick_batches += 1
-            self.multi_tick_ticks += consumed
-        return moved, ticks[consumed - 1]
-
-    def _probe_pairs(
-        self,
-        rows: np.ndarray,
-        cur: np.ndarray,
-        remaining: np.ndarray,
-        starts: np.ndarray,
-    ) -> np.ndarray:
-        """Stay/move probe costs of ``(tick, row)`` pairs, one
-        ``charge_many`` per machine.
-
-        Returns a ``(pair, machine)`` matrix, NaN where the job cannot
-        run.  Composing a probe batch is pure array arithmetic over the
-        :class:`RunningTable` and kernel columns: scale by the remaining
-        fraction, add the checkpoint/restart overhead on the move rows,
-        with :meth:`_charge_segment`'s association order.  Each pair is
-        priced at its own tick (``starts``).
-        """
-        kernel = self._kernel
-        idle_w = self._idle_w
-        overhead = self.overhead_s
-        method = self.method
-        job_rows = self._running.job_row[rows]
-        cores = kernel.cores[job_rows]
-        out = np.full((len(rows), len(self._name_idx)), np.nan)
-        for name, mi in self._name_idx.items():
-            rt = kernel.runtime[name][job_rows]
-            sub = np.flatnonzero(~np.isnan(rt))
-            if not len(sub):
-                continue
-            rem_sub = remaining[sub]
-            runtime = rt[sub] * rem_sub
-            energy = kernel.energy[name][job_rows[sub]] * rem_sub
-            cores_sub = cores[sub]
-            move = cur[sub] != mi
-            if move.any():
-                runtime[move] += overhead
-                energy[move] += idle_w[name] * cores_sub[move] * overhead
-            batch = UsageBatch.unchecked(
-                machine=name,
-                duration_s=runtime,
-                energy_j=energy,
-                cores=cores_sub,
-                start_time_s=starts[sub],
-            )
-            out[sub, mi] = method.charge_many(batch, self.pricings[name])
         return out
-
-    def _decide_and_apply_columnar(
-        self,
-        clusters: dict[str, ClusterSim],
-        pending_runtime: dict[int, float],
-        tick: np.ndarray,
-        rows: np.ndarray,
-        cur: np.ndarray,
-        remaining: np.ndarray,
-        frac_done: np.ndarray,
-        costs: np.ndarray,
-    ) -> int | None:
-        """Vectorized stay/move decision over every pair; apply the
-        first tick that has a mover and return its index (``None`` when
-        no pair moves).
-
-        The decision is three array expressions instead of a Python
-        walk per candidate:
-
-        * ``stay`` is each pair's cost on its current machine;
-        * the cheapest move is a row minimum over the move columns
-          (current machine and ineligible machines masked to ``inf``);
-        * a pair moves exactly when the scalar walk would —
-          ``best < stay`` (the walk only replaces on a strict
-          improvement) **and** ``best <= stay * (1 - min_saving)``
-          (the hysteresis gate, with the identical IEEE expression).
-
-        The winning machine replays the scalar walk's tie-breaking
-        through the quote table's ``elig_rank``: the walk keeps the
-        *first* machine, in the job's own eligibility order, that
-        reaches the row minimum, so among the columns equal to that
-        minimum the smallest eligibility rank is the identical winner.
-        Only the mover tick's movers are then applied, in candidate
-        order — the (machine index, insertion seq) order the walk
-        iterates — so preempt/requeue order on the target clusters is
-        unchanged.
-        """
-        table = self._running
-        kernel = self._kernel
-        n = len(rows)
-        pairs = np.arange(n)
-        stay = costs[pairs, cur]
-        move = np.where(np.isnan(costs), np.inf, costs)
-        move[pairs, cur] = np.inf
-        best_cost = move.min(axis=1)
-        movers = (best_cost < stay) & (
-            best_cost <= stay * (1.0 - self.min_saving)
-        )
-        if not movers.any():
-            return None
-        j = int(tick[movers.argmax()])
-        mk = np.flatnonzero(movers & (tick == j))
-        ranks = kernel.elig_rank[table.job_row[rows[mk]]]
-        tied = move[mk] == best_cost[mk, None]
-        best_mi = np.where(tied, ranks, ELIG_RANK_INELIGIBLE).argmin(axis=1)
-        names = kernel.machine_names
-        # Swap-with-last removal renumbers rows, so resolve every
-        # mover's state before the first remove invalidates the indices.
-        mover_states = [table.states[row] for row in rows[mk].tolist()]
-        for state, mi_cur, mi_best, rem, fdone in zip(
-            mover_states,
-            cur[mk].tolist(),
-            best_mi.tolist(),
-            remaining[mk].tolist(),
-            frac_done[mk].tolist(),
-        ):
-            self._migrate(
-                clusters,
-                pending_runtime,
-                state,
-                clusters[names[mi_cur]],
-                names[mi_best],
-                rem,
-                fdone,
-            )
-        return j
 
     def _outcome(self, state: _Progress, end_s: float) -> JobOutcome:
         job = state.job

@@ -287,15 +287,15 @@ class TestQuoteTableSharing:
         assert len({a, b, c}) == 2
 
     def test_elig_rank_replays_eligibility_order(self, setup):
-        """``elig_rank`` must be each machine's position in the job's
-        own eligibility walk — what the vectorized migration decision
-        uses to replay the scalar loop's tie-breaking."""
+        """The table's block ranks each machine by its position in the
+        job's own eligibility walk — what the per-row walks are derived
+        from."""
         jobs, pricings = setup
         table = QuoteTable.build(block(jobs, pricings), pricings, all_methods()[0])
-        assert table.elig_rank.shape == (len(jobs), len(pricings))
+        assert table.block.elig_rank.shape == (len(jobs), len(pricings))
         name_idx = {name: mi for mi, name in enumerate(pricings)}
         for job in jobs:
-            row = table.elig_rank[table.row_of[job.job_id]]
+            row = table.block.elig_rank[table.row_of[job.job_id]]
             for rank, name in enumerate(job.eligible_machines):
                 assert row[name_idx[name]] == rank
             for name in set(pricings) - set(job.eligible_machines):
@@ -392,7 +392,7 @@ class TestQuoteTableCacheLRU:
         rebuilt = cache.get_or_build(key, builder)
         assert rebuilt is not first
         assert quotes_of(rebuilt) == quotes_of(first)
-        assert np.array_equal(rebuilt.elig_rank, first.elig_rank)
+        assert np.array_equal(rebuilt.block.elig_rank, first.block.elig_rank)
         for name in pricings:
             assert np.array_equal(
                 rebuilt.runtime[name], first.runtime[name], equal_nan=True
@@ -427,7 +427,7 @@ class TestQuoteTableShm:
                 assert clone.pricing_fingerprint == table.pricing_fingerprint
                 assert clone.row_of == table.row_of
                 assert quotes_of(clone) == quotes_of(table)
-                assert np.array_equal(clone.elig_rank, table.elig_rank)
+                assert np.array_equal(clone.block.elig_rank, table.block.elig_rank)
                 assert np.array_equal(clone.job_id, table.job_id)
                 for name in pricings:
                     for col in ("runtime", "energy", "cost"):
@@ -451,7 +451,7 @@ class TestQuoteTableShm:
                 with pytest.raises(ValueError):
                     clone.runtime[name][0] = 1.0
                 with pytest.raises(ValueError):
-                    clone.elig_rank[0, 0] = 0
+                    clone.block.elig_rank[0, 0] = 0
             finally:
                 clone.release()
         finally:

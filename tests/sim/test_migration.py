@@ -14,15 +14,15 @@ from repro.accounting.pricing import QuoteTable
 from repro.carbon.intensity import CarbonIntensityTrace
 from repro.sim.engine import MultiClusterSimulator, pricing_for_sim_machine
 from repro.sim.job import Job, JobBlock
-from repro.sim import migration
 from repro.sim.migration import MigratingSimulator
 from repro.sim.policies import FixedMachinePolicy, GreedyPolicy
+from repro.sim.scenarios import low_carbon_scenario
 from repro.sim.workload import (
     PatelWorkloadGenerator,
     Workload,
     WorkloadConfig,
 )
-from seed_oracle import seed_migration_run
+from seed_oracle import assert_results_identical, seed_migration_run
 
 
 @pytest.fixture(scope="module")
@@ -255,10 +255,10 @@ class TestKnobs:
         assert frozen.total_cost() == pytest.approx(plain.total_cost(), rel=1e-6)
 
 
-class TestVectorizedDecisionTieBreak:
-    """Exactly tied move targets: the masked-argmin decision pass must
-    pick the scalar walk's winner — the *first* machine in the job's own
-    eligibility order that reaches the minimum move cost."""
+class TestTiedTargetsFirstEligibleWins:
+    """Exactly tied move targets: the decision walk keeps the *first*
+    machine in the job's own eligibility order that reaches the minimum
+    move cost."""
 
     @pytest.fixture()
     def tied_world(self, low_carbon_machines):
@@ -317,9 +317,7 @@ class TestVectorizedDecisionTieBreak:
             overhead_s=30.0,
         )
 
-    def test_tied_targets_bit_identical_and_first_eligible_wins(
-        self, tied_world, monkeypatch
-    ):
+    def test_tied_targets_bit_identical_and_first_eligible_wins(self, tied_world):
         machines, workload = tied_world
         reference = seed_migration_run(
             machines,
@@ -329,124 +327,33 @@ class TestVectorizedDecisionTieBreak:
             min_saving=0.05,
             overhead_s=30.0,
         )
-        monkeypatch.setattr(migration, "VECTOR_MIN", 0)
         result = self._sim(machines).run(workload)
         assert result.outcomes == reference.outcomes
         # The tie must actually occur and resolve to the first-eligible
-        # clone, or this proves nothing about argmin tie-breaking.
+        # clone, or this proves nothing about tie-breaking.
         finals = {o.machine for o in reference.outcomes}
         assert finals == {"CloneA"}
 
-
-class TestRunningTableLiveRows:
-    """Dense live-row layout of the running table.
-
-    Rows ``[0, len(table))`` are all live; ``remove`` fills the hole it
-    leaves by swapping the last row down.  ``candidates`` must therefore
-    do zero work proportional to dead capacity — high-churn runs used to
-    pay for their slot-array high-water mark on every tick (bounded, but
-    not eliminated, by the old compaction heuristic)."""
-
-    def _build(self, n):
-        from repro.sim.migration import RunningTable
-
-        table = RunningTable()
-        sentinels = {}
-        for i in range(n):
-            state = object()
-            sentinels[i] = state
-            table.add(
-                job_id=i,
-                job_row=i,
-                machine_idx=i % 4,
-                start_s=0.0,
-                end_s=1000.0 + i,
-                remaining_fraction=1.0,
-                state=state,
+    def test_job_eligibility_order_not_fleet_order_breaks_the_tie(self, tied_world):
+        """Jobs that list CloneB before CloneA settle on CloneB, though
+        the fleet still lists CloneA first."""
+        machines, workload = tied_world
+        order = ("Home", "CloneB", "CloneA")
+        jobs = [
+            dataclasses.replace(
+                job,
+                runtime_s={m: job.runtime_s[m] for m in order},
+                energy_j={m: job.energy_j[m] for m in order},
             )
-        return table, sentinels
-
-    def _churn(self, table, n, keep_every=16):
-        for i in range(n):
-            if i % keep_every:
-                table.remove(i)
-
-    def test_candidates_touch_only_live_rows(self):
-        """The scan-free contract: after heavy churn a scan visits
-        exactly the live rows, never the 512-row high-water mark."""
-        table, _ = self._build(512)
-        self._churn(table, 512)
-        live = 512 // 16
-        assert len(table) == live
-        _, rows, _, _ = table.candidates([500.0])
-        assert table.last_scan_rows == live
-        assert len(rows) == live
-        assert int(rows.max()) < live
-
-    def test_remove_swaps_last_row_into_hole(self):
-        table, sentinels = self._build(4)
-        table.remove(1)
-        assert len(table) == 3
-        row = table._slot_of[3]
-        assert row == 1
-        assert table.job_id[row] == 3
-        assert table.states[row] is sentinels[3]
-
-    def test_swap_removal_is_invisible_to_the_scan(self):
-        """(job, remaining, frac_done) from a churned table equals the
-        per-survivor scalar math, in (machine, seq) candidate order."""
-        table, _ = self._build(512)
-        self._churn(table, 512)
-        _, rows, remaining, frac_done = table.candidates([500.0])
-        got = [
-            (int(table.job_id[r]), float(rem), float(f))
-            for r, rem, f in zip(rows, remaining, frac_done)
+            for job in workload.jobs
         ]
-        survivors = sorted(
-            (i for i in range(512) if i % 16 == 0),
-            key=lambda i: (i % 4, i),  # (machine, insertion seq)
+        assert list(machines) == ["Home", "CloneA", "CloneB"]
+        assert all(job.eligible_machines == list(order) for job in jobs)
+        swapped = Workload(
+            jobs=jobs, config=workload.config, machines=workload.machines
         )
-        expected = []
-        for i in survivors:
-            done = (500.0 - 0.0) / ((1000.0 + i) - 0.0)
-            frac = 1.0 * done
-            expected.append((i, 1.0 - frac, frac))
-        assert got == expected
-
-    def test_capacity_shrinks_as_an_allocator_detail(self):
-        from repro.sim.migration import COMPACT_MIN_CAPACITY
-
-        table, _ = self._build(512)
-        assert len(table.machine) >= 512
-        self._churn(table, 512)
-        assert table.shrinks >= 1
-        assert len(table.machine) < 512
-        assert len(table.machine) >= COMPACT_MIN_CAPACITY
-
-    def test_table_stays_consistent_after_churn(self):
-        table, sentinels = self._build(512)
-        self._churn(table, 512)
-        live = sorted(table._slot_of)
-        assert live == [i for i in range(512) if i % 16 == 0]
-        for job_id, row in table._slot_of.items():
-            assert row < len(table)
-            assert table.job_id[row] == job_id
-            assert table.machine[row] == job_id % 4
-            assert table.end[row] == 1000.0 + job_id
-            assert table.states[row] is sentinels[job_id]
-        # Adds keep working off the shrunk arrays.
-        table.add(
-            job_id=9000,
-            job_row=9000,
-            machine_idx=1,
-            start_s=0.0,
-            end_s=5000.0,
-            remaining_fraction=1.0,
-            state=object(),
-        )
-        assert 9000 in table._slot_of
-        assert len(table) == len(live) + 1
-        assert table.job_id[table._slot_of[9000]] == 9000
+        result = self._sim(machines).run(swapped)
+        assert {o.machine for o in result.outcomes} == {"CloneB"}
 
 
 class TestStaleFinishes:
@@ -499,11 +406,7 @@ class TestStaleFinishes:
         rem = rem - frac_done
         return 7200.0 + (runtime * rem + overhead)
 
-    @pytest.mark.parametrize("vector_min", [migration.VECTOR_MIN, 0])
-    def test_round_trip_settles_once_at_the_live_end(
-        self, round_trip, vector_min, monkeypatch
-    ):
-        monkeypatch.setattr(migration, "VECTOR_MIN", vector_min)
+    def test_round_trip_settles_once_at_the_live_end(self, round_trip):
         machines, workload = round_trip
         sim = MigratingSimulator(
             machines,
@@ -523,3 +426,67 @@ class TestStaleFinishes:
         assert outcome.end_s == end
         # Three segments were billed: A, B, and A again.
         assert len(sim._ledger) == 3
+
+
+class TestDeepConcurrencyWalk:
+    """Ticks over dozens of running jobs take the same decision walk as
+    small ones, and still match the seed loop bit for bit."""
+
+    N_JOBS = 128
+    #: Running jobs a tick must see for this case to count as deep.
+    DEEP = 48
+
+    @pytest.fixture(scope="class")
+    def deep_world(self):
+        """128 narrow jobs, one user each, all submitted in the first
+        80 minutes and running for hours, with per-machine runtimes and
+        energies that differ by job.  Only the wide machines are
+        eligible, so no queue on a small one caps the running set."""
+        machines = low_carbon_scenario(days=20, seed=0)
+        names = [m for m in machines if machines[m].total_cores >= 500]
+        jobs = []
+        for i in range(self.N_JOBS):
+            runtimes = {
+                m: 3600.0 * (2 + i % 7) * (1.0 + 0.15 * ((i + mi) % 4))
+                for mi, m in enumerate(names)
+            }
+            energies = {
+                m: 1e6 * (1 + i % 5) * (1.0 + 0.2 * ((i * 3 + mi) % 5))
+                for mi, m in enumerate(names)
+            }
+            jobs.append(
+                Job(
+                    job_id=i,
+                    user=i,
+                    cores=1 + i % 3,
+                    submit_s=i * (80 * 60.0 / self.N_JOBS),
+                    runtime_s=runtimes,
+                    energy_j=energies,
+                )
+            )
+        workload = Workload(jobs=jobs, config=WorkloadConfig(), machines=names)
+        return machines, workload
+
+    @pytest.mark.parametrize("method", all_methods(), ids=lambda m: m.name)
+    def test_deep_ticks_walk_and_match_seed(self, deep_world, method, monkeypatch):
+        machines, workload = deep_world
+        walked: list[int] = []
+        reevaluate = MigratingSimulator._reevaluate
+
+        def counting(self, clusters, progress, pending_runtime, now):
+            walked.append(sum(len(c.running) for c in clusters.values()))
+            return reevaluate(self, clusters, progress, pending_runtime, now)
+
+        monkeypatch.setattr(MigratingSimulator, "_reevaluate", counting)
+        result = MigratingSimulator(
+            machines, method, GreedyPolicy(), min_saving=0.05
+        ).run(workload)
+        reference = seed_migration_run(
+            machines, method, GreedyPolicy(), workload, min_saving=0.05
+        )
+        assert_results_identical(result, reference)
+        assert max(walked) >= self.DEEP
+        if method.name == "CBA":
+            # Prices that follow the grid make jobs move mid-run, so the
+            # walk's preempt/requeue order is exercised too.
+            assert reference.total_migrations > 0

@@ -98,7 +98,7 @@ class TestRealSiteBuild:
             "index.html",
             "architecture/pricing.html",
             "architecture/events.html",
-            "architecture/running-table.html",
+            "architecture/migration-ticks.html",
             "architecture/sweep.html",
             "guide/reproducing.html",
             "guide/benchmarks.html",
