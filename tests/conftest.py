@@ -3,11 +3,20 @@
 Simulation fixtures are session-scoped: generating a workload and
 running policies is the expensive part of the suite, and the tests only
 read the results.
+
+Hypothesis runs under one of two profiles, chosen by the
+``HYPOTHESIS_PROFILE`` environment variable: ``default`` derandomizes
+every property test, so tier-1 draws the same cases on every run, and
+``long`` draws ten times as many fresh cases for the CI job that runs
+the differential harness.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.accounting.base import UsageRecord, pricing_for_node
 from repro.accounting.methods import CarbonBasedAccounting, EnergyBasedAccounting
@@ -29,6 +38,10 @@ from repro.sim.workload import (
     WorkloadConfig,
     inject_stragglers,
 )
+
+settings.register_profile("default", derandomize=True)
+settings.register_profile("long", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")
