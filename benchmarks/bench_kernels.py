@@ -29,8 +29,7 @@ from repro.apps.graph import pagerank
 from repro.hardware.rapl import SimulatedRAPL
 from repro.sim.cluster import ClusterSim
 from repro.sim.engine import MultiClusterSimulator, pricing_for_sim_machine
-from repro.sim.job import Job
-from repro.sim.migration import MigratingSimulator, _Progress
+from repro.sim.migration import MigratingSimulator, _MigrationRun
 from repro.sim.policies import EFTPolicy, GreedyPolicy, LargestFirstPolicy
 from repro.sim.scenarios import (
     baseline_scenario,
@@ -165,66 +164,47 @@ def test_migration_throughput_1k_jobs(run_once, benchmark):
 
 
 def _staged_migration_tick(n_running: int):
-    """A migration simulator frozen mid-run with ``n_running`` narrow
-    jobs running across the wide machines.
+    """A migration run frozen mid-run with ``n_running`` narrow jobs
+    running across the wide machines: each job went through the loop's
+    arrival and start call points, so the run holds exactly its
+    in-flight state.
 
     ``min_saving=0.95`` keeps every re-evaluation decision a no-move, so
     the staged state is reusable across benchmark rounds.
     """
     machines = low_carbon_scenario(days=20, seed=0)
     wide = [m for m in machines if machines[m].total_cores >= 500]
-    names = list(machines)
-    jobs = []
-    for i in range(n_running):
-        home = wide[i % len(wide)]
-        runtimes = {
-            m: 3600.0 * (1 + (i % 7)) * (1.2 if m != home else 1.0)
-            for m in names
-        }
-        energies = {m: 1e6 * (1 + (i % 5)) for m in names}
-        jobs.append(
-            Job(
-                job_id=i,
-                user=i,
-                cores=1,
-                submit_s=0.0,
-                runtime_s=runtimes,
-                energy_j=energies,
-            )
-        )
+    names = tuple(machines)
     sim = MigratingSimulator(
         machines, CarbonBasedAccounting(), GreedyPolicy(), min_saving=0.95
     )
-    sim._ledger = SegmentLedger(sim.method, sim.pricings)
-    sim._owners = []
-    sim._quoters = {
-        name: sim.method.probe_kernel(pricing)
-        for name, pricing in sim.pricings.items()
-    }
-    clusters = {name: ClusterSim(m) for name, m in machines.items()}
-    progress = {}
-    for i, job in enumerate(jobs):
+    run = _MigrationRun(sim)
+    clusters = [ClusterSim(machines[name]) for name in names]
+    for i in range(n_running):
         home = wide[i % len(wide)]
-        cluster = clusters[home]
-        cluster.enqueue((job.job_id, job.user, job.cores, job.runtime_s[home]))
+        at = names.index(home)
+        runtime = tuple(
+            3600.0 * (1 + (i % 7)) * (1.2 if m != home else 1.0) for m in names
+        )
+        energy = (1e6 * (1 + (i % 5)),) * len(names)
+        cluster = clusters[at]
+        cluster.enqueue((i, i, 1, runtime[at]))
+        run.arrive(i, 1, tuple(clusters), runtime, energy, at)
         started = cluster.startable(0.0)  # mutates: pops + starts the job
         if not started:
-            raise RuntimeError(f"staged job {job.job_id} failed to start")
-        state = _Progress(job=job)
-        state.segment_start_s = 0.0
-        state.segment_machine = home
-        progress[job.job_id] = state
-    return sim, clusters, progress
+            raise RuntimeError(f"staged job {i} failed to start")
+        run.start(at, cluster, i, 0.0)
+    return run, clusters
 
 
 def test_migration_reeval_tick_small(benchmark):
     """A re-evaluation tick over 24 running jobs: the running-dict walk,
     scalar ``probe_kernel`` quotes, and the per-candidate decision
     loop."""
-    sim, clusters, progress = _staged_migration_tick(24)
-    moved = benchmark(sim._reevaluate, clusters, progress, {}, 1800.0)
+    run, clusters = _staged_migration_tick(24)
+    moved = benchmark(run._reevaluate, clusters, 1800.0)
     assert moved is False  # min_saving=0.95: probes run, nothing moves
-    assert sum(len(c.running) for c in clusters.values()) == 24
+    assert sum(len(c.running) for c in clusters) == 24
 
 
 def test_sweep_short_runs_kernel_cache(run_once, benchmark):

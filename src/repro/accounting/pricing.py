@@ -1158,6 +1158,7 @@ class PricingKernel:
         codes: npt.NDArray[np.int32],
         starts: FloatArray,
         ends: FloatArray,
+        priced: Sequence[FloatArray] | None = None,
     ) -> OutcomeTable:
         """The one settlement body: quote row ``rows[i]`` run on machine
         ``codes[i]`` from ``starts[i]`` to ``ends[i]`` (behind
@@ -1165,7 +1166,36 @@ class PricingKernel:
 
         One ``charge_many`` + ``at_many`` sweep per machine; operational
         carbon uses the start-time intensity and attributed carbon adds
-        CBA's embodied term, exactly as the scalar reference path."""
+        CBA's embodied term, exactly as the scalar reference path.
+        ``priced`` supplies the energy, cost, operational and attributed
+        columns instead (:meth:`ShardedPricingKernel.settle_priced`)."""
+        if priced is None:
+            priced = self._price(rows, codes, starts)
+        energy, cost, operational, attributed = priced
+        return OutcomeTable(
+            self.machine_names,
+            job_id=self.job_id[rows],
+            user=self.user[rows],
+            machine_code=codes,
+            cores=self.cores[rows],
+            submit_s=self.submit[rows],
+            start_s=starts,
+            end_s=ends,
+            energy_j=energy,
+            cost=cost,
+            work_core_hours=self.work[rows],
+            operational_carbon_g=operational,
+            attributed_carbon_g=attributed,
+        )
+
+    def _price(
+        self,
+        rows: npt.NDArray[np.intp],
+        codes: npt.NDArray[np.int32],
+        starts: FloatArray,
+    ) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
+        """The energy, cost, operational and attributed columns of
+        :meth:`_settle`."""
         n = len(rows)
         names = self.machine_names
         cost = np.empty(n)
@@ -1191,21 +1221,7 @@ class PricingKernel:
             cost[idx] = c
             operational[idx] = op
             attributed[idx] = attr
-        return OutcomeTable(
-            names,
-            job_id=self.job_id[rows],
-            user=self.user[rows],
-            machine_code=codes,
-            cores=self.cores[rows],
-            submit_s=self.submit[rows],
-            start_s=starts,
-            end_s=ends,
-            energy_j=energy_out,
-            cost=cost,
-            work_core_hours=self.work[rows],
-            operational_carbon_g=operational,
-            attributed_carbon_g=attributed,
-        )
+        return energy_out, cost, operational, attributed
 
 
 # ---------------------------------------------------------------------------
@@ -1374,6 +1390,25 @@ class ShardedPricingKernel:
         row's operands — the settlement math is element-wise — so the
         block is bit-identical to its slice of a whole-log settlement.
         """
+        return self._settle_block(finished, None)
+
+    def settle_priced(
+        self,
+        finished: Sequence[tuple[int, int, float, float]],
+        priced: Sequence[FloatArray],
+    ) -> OutcomeTable:
+        """:meth:`price_block` for a block whose energy, cost,
+        operational and attributed columns ``priced`` (aligned with
+        ``finished``) were priced elsewhere — the migration simulator's
+        per-job segment sums.  The other columns come from the quote
+        rows, and the jobs are released, as :meth:`price_block` does."""
+        return self._settle_block(finished, priced)
+
+    def _settle_block(
+        self,
+        finished: Sequence[tuple[int, int, float, float]],
+        priced: Sequence[FloatArray] | None,
+    ) -> OutcomeTable:
         n = len(finished)
         # Column by column through ``itemgetter``: no per-entry objects.
         ids = list(map(itemgetter(0), finished))
@@ -1387,7 +1422,13 @@ class ShardedPricingKernel:
             shard = self._live[index]
             idx = np.flatnonzero(owner == index)
             rows = shard.kernel._rows([ids[i] for i in idx.tolist()])
-            table = shard.kernel._settle(rows, codes[idx], starts[idx], ends[idx])
+            table = shard.kernel._settle(
+                rows,
+                codes[idx],
+                starts[idx],
+                ends[idx],
+                None if priced is None else [column[idx] for column in priced],
+            )
             for name, _ in OUTCOME_FIELDS:
                 columns[name][idx] = getattr(table, name)
             self._release(shard, rows)

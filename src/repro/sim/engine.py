@@ -52,11 +52,22 @@ once, and the completion-ordered blocks back one
 :class:`SimulationResult` whatever the chunking.  The vectorized pricing
 is bit-identical to pricing record by record; the seed-loop port in the
 test suite is the reference it is checked against.
+
+This is the only event loop in the package.  Shifting runs it on a
+rewritten ``submit`` column, and migration extends it: a migration run
+passes its per-run state as the loop's hook, which the loop calls when
+an arrival is queued, when a job starts (a continuation runs only its
+remainder plus the overhead), when a finish pops (a preempted segment's
+finish is dropped), at the periodic tick (running jobs may be preempted
+and requeued; every cluster then gets a start pass) and when a block of
+the finish log settles (the hook supplies the energy, cost and carbon
+columns).  A hooked run stops once every job has finished or been
+discarded.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,11 +82,14 @@ from repro.accounting.pricing import (
 )
 from repro.accounting.spill import OutcomeSpillStore
 from repro.sim.cluster import ClusterSim
-from repro.sim.events import ARRIVAL, EventCalendar
+from repro.sim.events import ARRIVAL, FINISH, EventCalendar
 from repro.sim.job import JobBlock, JobOutcome
 from repro.sim.policies import Policy
 from repro.sim.scenarios import SimMachine
 from repro.sim.workload import JobChunk, StreamingWorkload, Workload
+
+if TYPE_CHECKING:
+    from repro.sim.migration import _MigrationRun
 
 #: Finished jobs settled (and spilled) per block.
 DEFAULT_SPILL_BLOCK_JOBS = 32_768
@@ -422,7 +436,11 @@ class MultiClusterSimulator:
             name: pricing_for_sim_machine(m) for name, m in machines.items()
         }
 
-    def run(self, workload: Workload | StreamingWorkload) -> SimulationResult:
+    def run(
+        self,
+        workload: Workload | StreamingWorkload,
+        _hook: _MigrationRun | None = None,
+    ) -> SimulationResult:
         """Run the full workload to completion and collect outcomes.
 
         Events come from the shared :class:`~repro.sim.events.EventCalendar`
@@ -443,6 +461,7 @@ class MultiClusterSimulator:
         is O(chunk + in-flight jobs + one block), plus the settled
         blocks when the spill store keeps them in memory.
         """
+        hook = _hook  # internal: a migration run's state
         names = list(self.pricings)
         blocks: Iterator[JobBlock]
         if isinstance(workload, StreamingWorkload):
@@ -467,7 +486,10 @@ class MultiClusterSimulator:
         block_jobs = self.spill_block_jobs
 
         def settle_pending() -> None:
-            store.append(kernel.price_block(pending))
+            if hook is None:
+                store.append(kernel.price_block(pending))
+            else:
+                store.append(kernel.settle_priced(pending, hook.settle()))
             pending.clear()
 
         def load_next_chunk() -> _Chunk:
@@ -484,6 +506,8 @@ class MultiClusterSimulator:
                         settle_pending()
                     table = kernel.load_chunk(block, self.quote_table).kernel
                     calendar.refill(table.submit)
+                    if hook is not None and kernel.shards_built == 1:
+                        calendar.schedule_tick(float(table.submit[0]) + hook.every)
                     walks = [
                         (walk, tuple(clusters[mi] for mi in walk), walk_names)
                         for walk, walk_names in zip(table.walks, table.walk_names)
@@ -504,8 +528,11 @@ class MultiClusterSimulator:
             if cluster.free_cores <= 0 or not cluster.queue_length:
                 return
             for job_id, end in cluster.startable(now):
-                #: Finish payload: (machine code, job_id, start time).
-                schedule_finish(end, (code, job_id, now))
+                if hook is None:
+                    #: Finish payload: (machine code, job_id, start time).
+                    schedule_finish(end, (code, job_id, now))
+                else:
+                    schedule_finish(*hook.start(code, cluster, job_id, now))
 
         try:
             quotes, walks, job_ids, users, cores = load_next_chunk()
@@ -522,15 +549,22 @@ class MultiClusterSimulator:
                         wait = [c.estimated_wait_s(now) for c in candidates]
                         i = select(machine_names, runtime, energy, wait, cost)
                         cluster = candidates[i]
-                        cluster.enqueue(
-                            (job_ids[row], users[row], cores[row], runtime[i])
-                        )
+                        job_id = job_ids[row]
+                        cluster.enqueue((job_id, users[row], cores[row], runtime[i]))
+                        if hook is not None:
+                            hook.arrive(
+                                job_id, cores[row], candidates, runtime, energy, i
+                            )
                         try_start(codes[i], cluster, now)
                     else:
                         kernel.discard(job_ids[row])
                     if not calendar.arrivals_pending:
                         quotes, walks, job_ids, users, cores = load_next_chunk()
-                else:
+                elif kind == FINISH:
+                    if hook is not None:
+                        payload = hook.finish(payload)
+                        if payload is None:
+                            continue  # a preempted segment's finish
                     code, job_id, start_s = payload  # type: ignore[misc]
                     cluster = clusters[code]
                     cluster.finish(job_id)
@@ -538,6 +572,16 @@ class MultiClusterSimulator:
                     if len(pending) >= block_jobs:
                         settle_pending()
                     try_start(code, cluster, now)
+                else:  # TICK: only a hooked run schedules one
+                    assert hook is not None
+                    if hook.tick(clusters, now):
+                        for code, cluster in enumerate(clusters):
+                            try_start(code, cluster, now)
+                    calendar.schedule_tick(now + hook.every)
+                if hook is not None and not (hook.live or calendar.arrivals_pending):
+                    # Every job has finished or been discarded: what is
+                    # left are preempted segments' finishes and the tick.
+                    break
             if pending:
                 settle_pending()
         except BaseException:

@@ -7,8 +7,8 @@ every event even when nothing could possibly start.  This module holds
 the two pieces they now share:
 
 * :class:`EventCalendar` — one ``(time, kind, seq)`` event discipline
-  for the engine, the migration simulator, and (through the engine) the
-  shifting simulator.  Arrivals are consumed from a chunk's
+  for the engine's loop, which the migration simulator extends and the
+  shifting simulator feeds.  Arrivals are consumed from a chunk's
   submit-sorted submit column instead of living in the heap, so the
   heap only ever holds finish events and pushes/pops stay shallow; an
   arrival's payload is its row in the chunk, never a job object.  The

@@ -10,11 +10,11 @@ from repro.accounting.methods import (
     EnergyBasedAccounting,
     all_methods,
 )
-from repro.accounting.pricing import QuoteTable
+from repro.accounting.pricing import QuoteTable, SegmentLedger
 from repro.carbon.intensity import CarbonIntensityTrace
 from repro.sim.engine import MultiClusterSimulator, pricing_for_sim_machine
 from repro.sim.job import Job, JobBlock
-from repro.sim.migration import MigratingSimulator
+from repro.sim.migration import MigratingSimulator, _MigrationRun
 from repro.sim.policies import FixedMachinePolicy, GreedyPolicy
 from repro.sim.scenarios import low_carbon_scenario
 from repro.sim.workload import (
@@ -406,8 +406,16 @@ class TestStaleFinishes:
         rem = rem - frac_done
         return 7200.0 + (runtime * rem + overhead)
 
-    def test_round_trip_settles_once_at_the_live_end(self, round_trip):
+    def test_round_trip_settles_once_at_the_live_end(self, round_trip, monkeypatch):
         machines, workload = round_trip
+        billed: list[str] = []
+        add = SegmentLedger.add
+
+        def counting(self, machine, *args):
+            billed.append(machine)
+            return add(self, machine, *args)
+
+        monkeypatch.setattr(SegmentLedger, "add", counting)
         sim = MigratingSimulator(
             machines,
             CarbonBasedAccounting(),
@@ -425,7 +433,7 @@ class TestStaleFinishes:
         assert outcome.machine == "A"
         assert outcome.end_s == end
         # Three segments were billed: A, B, and A again.
-        assert len(sim._ledger) == 3
+        assert billed == ["A", "B", "A"]
 
 
 class TestDeepConcurrencyWalk:
@@ -471,13 +479,13 @@ class TestDeepConcurrencyWalk:
     def test_deep_ticks_walk_and_match_seed(self, deep_world, method, monkeypatch):
         machines, workload = deep_world
         walked: list[int] = []
-        reevaluate = MigratingSimulator._reevaluate
+        reevaluate = _MigrationRun._reevaluate
 
-        def counting(self, clusters, progress, pending_runtime, now):
-            walked.append(sum(len(c.running) for c in clusters.values()))
-            return reevaluate(self, clusters, progress, pending_runtime, now)
+        def counting(self, clusters, now):
+            walked.append(sum(len(c.running) for c in clusters))
+            return reevaluate(self, clusters, now)
 
-        monkeypatch.setattr(MigratingSimulator, "_reevaluate", counting)
+        monkeypatch.setattr(_MigrationRun, "_reevaluate", counting)
         result = MigratingSimulator(
             machines, method, GreedyPolicy(), min_saving=0.05
         ).run(workload)
