@@ -19,32 +19,34 @@ The planner is deliberately simple and analyzable:
   job runs now — without this, tiny nighttime savings would defer the
   whole workload.
 
-:class:`ShiftingSimulator` wraps the standard engine: deferred jobs
-simply re-enter the event queue at their release time.  The release
-ordering rides on the shared :class:`~repro.sim.events.EventCalendar`
-(via the engine): the calendar stable-sorts the rewritten submission
-times itself, so the wrapper hands over the shifted job list as-is and
-every queueing/tie-break rule is the engine's own.
+:class:`ShiftingSimulator` plans every row of the workload's columns,
+adds the delays to its ``submit`` column and runs the engine on it: a
+held job simply arrives at its release time, under the engine's own
+queueing and tie-break rules, and a row no fleet machine can run keeps
+its time and is discarded, as in a plain run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+from typing import Sequence
 
-from repro.accounting.base import AccountingMethod, UsageRecord
+import numpy as np
+
+from repro.accounting.base import AccountingMethod
 from repro.sim.engine import (
     MultiClusterSimulator,
     SimulationResult,
     pricing_for_sim_machine,
 )
-from repro.sim.job import Job
+from repro.sim.job import Job, Take
 from repro.sim.policies import Policy
 from repro.sim.scenarios import SimMachine
 from repro.sim.workload import Workload
 from repro.units import SECONDS_PER_HOUR
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ShiftPlan:
     """The planner's decision for one job."""
 
@@ -86,67 +88,59 @@ class TemporalShiftPlanner:
         self.method = method
         self.max_delay_h = max_delay_h
         self.patience = patience
-        self._pricings = {
-            name: pricing_for_sim_machine(m) for name, m in machines.items()
+        #: Scalar probe quoters: ``charge()`` without a record per probe.
+        self._quoters = {
+            name: method.probe_kernel(pricing_for_sim_machine(m))
+            for name, m in machines.items()
         }
-
-    def _cost(self, job: Job, machine: str, start_s: float) -> float:
-        record = UsageRecord(
-            machine=machine,
-            duration_s=job.runtime_s[machine],
-            energy_j=job.energy_j[machine],
-            cores=job.cores,
-            start_time_s=start_s,
-        )
-        return self.method.charge(record, self._pricings[machine])
 
     def plan(self, job: Job, now_s: float) -> ShiftPlan:
         """Best (machine, delay) for a job submitted at ``now_s``."""
-        candidates = [m for m in job.eligible_machines if m in self.machines]
-        if not candidates:
+        names = [m for m in job.eligible_machines if m in self.machines]
+        if not names:
             raise ValueError(f"job {job.job_id} has no eligible machine")
+        runtime = [job.runtime_s[m] for m in names]
+        energy = [job.energy_j[m] for m in names]
+        return self._plan(names, runtime, energy, job.cores, now_s)
 
-        best_now = min(
-            ((self._cost(job, m, now_s), m) for m in candidates),
-            key=lambda pair: pair[0],
-        )
-        best_cost, best_machine, best_delay = best_now[0], best_now[1], 0.0
+    def _plan(
+        self,
+        names: Sequence[str],
+        runtime: Sequence[float],
+        energy: Sequence[float],
+        cores: int,
+        now_s: float,
+    ) -> ShiftPlan:
+        """:meth:`plan` for a job that runs on ``names`` (fleet machines,
+        in its eligibility order) for ``runtime`` and ``energy``."""
+        quoters = [self._quoters[m] for m in names]
+
+        def costs(start_s: float) -> list[float]:
+            return [
+                quote(rt, en, cores, start_s)
+                for quote, rt, en in zip(quoters, runtime, energy)
+            ]
+
+        now_costs = costs(now_s)
+        cost_now = min(now_costs)
+        machine_now = names[now_costs.index(cost_now)]
+        best_cost, best_machine, best_delay = cost_now, machine_now, 0.0
 
         for k in range(1, self.max_delay_h + 1):
             release = now_s + k * SECONDS_PER_HOUR
-            for machine in candidates:
-                cost = self._cost(job, machine, release)
+            for machine, cost in zip(names, costs(release)):
                 if cost < best_cost * (1.0 - 1e-12):
-                    best_cost, best_machine, best_delay = (
-                        cost,
-                        machine,
-                        k * SECONDS_PER_HOUR,
-                    )
+                    best_cost, best_machine = cost, machine
+                    best_delay = k * SECONDS_PER_HOUR
 
         # Apply the patience hurdle: defer only for a real saving.
-        if best_delay > 0 and best_cost > best_now[0] * (1.0 - self.patience):
-            return ShiftPlan(
-                machine=best_now[1],
-                delay_s=0.0,
-                cost_now=best_now[0],
-                cost_at_release=best_now[0],
-            )
-        return ShiftPlan(
-            machine=best_machine,
-            delay_s=best_delay,
-            cost_now=best_now[0],
-            cost_at_release=best_cost,
-        )
+        if best_delay > 0 and best_cost > cost_now * (1.0 - self.patience):
+            best_cost, best_machine, best_delay = cost_now, machine_now, 0.0
+        return ShiftPlan(best_machine, best_delay, cost_now, best_cost)
 
 
 class ShiftingSimulator:
-    """Engine wrapper: defers each job per the planner, then simulates.
-
-    Deferral is applied by rewriting submission times before the normal
-    event-driven run, which preserves every queueing/accounting
-    behaviour of :class:`MultiClusterSimulator` — a held job simply does
-    not exist until its release time.
-    """
+    """Engine wrapper: defers each job per the planner, then simulates."""
 
     def __init__(
         self,
@@ -164,31 +158,31 @@ class ShiftingSimulator:
         )
 
     def run(self, workload: Workload) -> SimulationResult:
-        shifted_jobs = []
-        for job in workload.jobs:
-            plan = self.planner.plan(job, job.submit_s)
-            shifted_jobs.append(
-                Job(
-                    job_id=job.job_id,
-                    user=job.user,
-                    cores=job.cores,
-                    submit_s=job.submit_s + plan.delay_s,
-                    runtime_s=job.runtime_s,
-                    energy_j=job.energy_j,
+        block = workload.block(list(self.machines))
+        names = block.machine_names
+        runtime, energy = block.floats()
+        cores = block.cores.tolist()
+        submit = block.submit.tolist()
+        plan = self.planner._plan
+
+        def delays(walk: tuple[int, ...], take: Take) -> list[float]:
+            if not walk:
+                return [0.0] * len(take(cores))
+            keys = [names[mi] for mi in walk]
+            return [
+                plan(keys, rt, en, c, s).delay_s
+                for c, s, rt, en in zip(
+                    take(cores),
+                    take(submit),
+                    zip(*[take(runtime[mi]) for mi in walk]),
+                    zip(*[take(energy[mi]) for mi in walk]),
                 )
-            )
-        # No sort here: the engine's EventCalendar merges the rewritten
-        # arrival stream itself (stable by submit time, so equal-time
-        # releases keep submission order exactly as before).
-        shifted = Workload(
-            jobs=shifted_jobs, config=workload.config, machines=workload.machines
+            ]
+
+        shifted = dataclasses.replace(
+            block, submit=block.submit + np.array(block.per_row(delays))
         )
         engine = MultiClusterSimulator(self.machines, self.method, self.policy)
-        result = engine.run(shifted)
-        return SimulationResult(
-            policy=f"{self.policy.name}+shift",
-            method=self.method.name,
-            machines=result.machines,
-            store=result.store,
-            shard_stats=result.shard_stats,
-        )
+        result = engine.run(Workload.from_block(shifted, workload.config))
+        result.policy = f"{self.policy.name}+shift"
+        return result

@@ -4,7 +4,9 @@ import pytest
 
 from repro.accounting.methods import CarbonBasedAccounting, EnergyBasedAccounting
 from repro.sim.engine import MultiClusterSimulator
+from repro.sim.migration import MigratingSimulator
 from repro.sim.policies import GreedyPolicy
+from repro.sim.scenarios import low_carbon_scenario
 from repro.sim.shifting import ShiftingSimulator, TemporalShiftPlanner
 from repro.sim.workload import PatelWorkloadGenerator, WorkloadConfig
 
@@ -117,3 +119,36 @@ class TestShiftingSimulator:
             low_carbon_machines, CarbonBasedAccounting(), GreedyPolicy()
         ).run(low_carbon_workload)
         assert shifted.policy == "Greedy+shift"
+
+
+class TestIneligibleJobs:
+    """A job no fleet machine can run is discarded, as the engine and
+    migration discard it; only a direct ``plan()`` call raises."""
+
+    @pytest.fixture(scope="class")
+    def desktop_world(self):
+        """The low-carbon fleet cut to Desktop: a fair share of the jobs
+        need more than its 16 cores."""
+        machines = low_carbon_scenario(days=20, seed=0)
+        cfg = WorkloadConfig(n_base_jobs=200, n_users=30, seed=1)
+        workload = PatelWorkloadGenerator(machines, cfg).generate()
+        return {"Desktop": machines["Desktop"]}, workload
+
+    def test_shifting_discards_what_no_machine_can_run(self, desktop_world):
+        desktop, workload = desktop_world
+        cba = CarbonBasedAccounting()
+        ineligible = [j for j in workload.jobs if "Desktop" not in j.runtime_s]
+        assert ineligible
+        plain = MultiClusterSimulator(desktop, cba, GreedyPolicy()).run(workload)
+        migrating = MigratingSimulator(desktop, cba, GreedyPolicy()).run(workload)
+        shifted = ShiftingSimulator(desktop, cba, GreedyPolicy()).run(workload)
+        assert plain.n_jobs == len(workload) - len(ineligible)
+        assert shifted.n_jobs == migrating.n_jobs == plain.n_jobs
+        assert not {j.job_id for j in ineligible} & set(shifted.table.job_id.tolist())
+
+    def test_plan_still_raises(self, desktop_world):
+        desktop, workload = desktop_world
+        planner = TemporalShiftPlanner(desktop, CarbonBasedAccounting())
+        job = next(j for j in workload.jobs if "Desktop" not in j.runtime_s)
+        with pytest.raises(ValueError, match="no eligible machine"):
+            planner.plan(job, job.submit_s)
