@@ -7,9 +7,10 @@ can part ways, so these strategies build them by hand:
   any order, down to one machine — so some jobs have no eligible
   machine in the fleet and must be discarded;
 * job lists hold 1–60 jobs with submit times on a coarse grid (ties are
-  common), runtimes that are often equal across machines, a handful of
-  users (many jobs per user, so the one-running-job-per-user rule
-  binds), zero energy now and then, and each job's own machine order.
+  common), runtimes and energies that are often equal across machines
+  (so costs tie, between move targets too), a handful of users (many
+  jobs per user, so the one-running-job-per-user rule binds), zero
+  energy now and then, and each job's own machine order.
 
 Every job fits on each machine it lists, so every eligible job starts
 eventually.
@@ -67,14 +68,13 @@ def job_lists(draw: st.DrawFn, capacity: dict[str, int]) -> list[Job]:
         eligible = draw(_ordered_subset(names))
         fits = min(capacity[name] for name in eligible)
         cores = draw(CORES.filter(lambda c: c <= fits))
-        if draw(st.booleans()):
-            runtime = dict.fromkeys(eligible, draw(RUNTIMES))
-        else:
-            runtime = {name: draw(RUNTIMES) for name in eligible}
-        if draw(st.booleans()):
-            energy = dict.fromkeys(eligible, 0.0)
-        else:
-            energy = {name: draw(ENERGIES) for name in eligible}
+        # Each job's runtimes and energies come from a palette of one or
+        # two values, so machines often tie: all of them (one value), or
+        # some cheaper ones against the rest (two).
+        runtimes = draw(st.lists(RUNTIMES, min_size=1, max_size=2))
+        energies = draw(st.lists(ENERGIES, min_size=1, max_size=2))
+        runtime = {name: draw(st.sampled_from(runtimes)) for name in eligible}
+        energy = {name: draw(st.sampled_from(energies)) for name in eligible}
         jobs.append(
             Job(
                 job_id=job_id,
