@@ -103,22 +103,14 @@ def _tied_targets():
     every=3600.0,
     overhead=300.0,
 )
-def test_migration_matches_seed(
-    world, method, pick, min_saving, every, overhead
-):
+def test_migration_matches_seed(world, method, pick, min_saving, every, overhead):
     fleet, jobs = world
     policies = _policies(fleet)
     policy = policies[pick % len(policies)]
     workload = _workload(jobs, fleet)
-    knobs = dict(
-        reevaluate_every_s=every, overhead_s=overhead, min_saving=min_saving
-    )
-    result = MigratingSimulator(fleet, _method(method), policy, **knobs).run(
-        workload
-    )
-    reference = seed_migration_run(
-        fleet, _method(method), policy, workload, **knobs
-    )
+    knobs = dict(reevaluate_every_s=every, overhead_s=overhead, min_saving=min_saving)
+    result = MigratingSimulator(fleet, _method(method), policy, **knobs).run(workload)
+    reference = seed_migration_run(fleet, _method(method), policy, workload, **knobs)
     assert_results_identical(result, reference)
 
 
